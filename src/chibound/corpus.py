@@ -14,9 +14,9 @@ import json
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .graphs import Graph, bits, is_connected, serialize_graph6
+from .graphs import Graph, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -29,6 +29,14 @@ SAMPLE_MIN_N = 8
 SAMPLE_MAX_N = 14
 GIVE_UP_WINDOW = 20000
 GIVE_UP_RATE = 0.001
+
+
+def _check_sample_size(n: int, count: int) -> None:
+    if not SAMPLE_MIN_N <= n <= SAMPLE_MAX_N:
+        raise ValueError(f"sampling supports {SAMPLE_MIN_N} <= n <= "
+                         f"{SAMPLE_MAX_N}, got n={n}")
+    if count < 0:
+        raise ValueError(f"sample count must be >= 0, got {count}")
 
 
 def _pair_bits(n: int) -> list[tuple[int, int]]:
@@ -48,8 +56,9 @@ def graph_from_edge_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Gra
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, ascending edge-bitmask order."""
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive enumeration limited to n <= {ENUMERATION_LIMIT}")
+    if not 0 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive enumeration supports 0 <= n <= "
+                         f"{ENUMERATION_LIMIT}, got n={n}")
     pairs = _pair_bits(n)
     for mask in range(1 << len(pairs)):
         yield graph_from_edge_mask(n, mask, pairs)
@@ -70,8 +79,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     rejection-filtered on the full membership test.  Deterministic per
     seed; gives up if the sustained rejection rate exceeds 99.9%.
     """
-    if not SAMPLE_MIN_N <= n <= SAMPLE_MAX_N:
-        raise ValueError(f"sampling supports {SAMPLE_MIN_N} <= n <= {SAMPLE_MAX_N}")
+    _check_sample_size(n, count)
     rng = random.Random(seed)
     base_pairs = _pair_bits(n)
     emitted = 0
@@ -132,10 +140,14 @@ class Population:
 
 
 def exhaustive_population(n: int) -> Population:
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive campaigns support 1 <= n <= "
+                         f"{ENUMERATION_LIMIT}, got n={n}")
     return Population("exhaustive", n)
 
 
 def sample_population(n: int, count: int, seed: int) -> Population:
+    _check_sample_size(n, count)
     return Population("sample", n, count=count, seed=seed)
 
 
@@ -145,168 +157,50 @@ def explicit_population(graphs: Iterable[Graph]) -> Population:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk verification worker and deterministic reduction.
+# The campaign report, its per-graph checks and the deterministic reduction.
 
-def _new_accumulator(checks: tuple[str, ...]) -> dict:
-    acc: dict = {
-        "graphs": 0,
-        "members": 0,
-        "disconnected_members": 0,
-        "omega_histogram": {},
-        "violations": [],
-    }
-    if "oracle" in checks:
-        acc["oracle"] = {"checked": 0, "disagreements": 0}
-    if "lemma1" in checks:
-        acc["lemma1"] = {
-            "pairs_checked": 0,
-            "properties": {p: {HOLDS: 0, VACUOUS: 0, FAILS: 0} for p in PROPERTY_NAMES},
-        }
-    if "lemma2" in checks:
-        acc["lemma2"] = {"checked": 0}
-    return acc
-
-
-def _check_graph(g: Graph, checks: tuple[str, ...], acc: dict,
-                 exact_limit: int = DEFAULT_EXACT_LIMIT) -> None:
-    acc["graphs"] += 1
-    member = is_class_member(g)
-    if "oracle" in checks:
-        acc["oracle"]["checked"] += 1
-        if complement_oracle_check(g) != member:
-            acc["oracle"]["disagreements"] += 1
-            acc["violations"].append({
-                "check": "oracle",
-                "graph6": serialize_graph6(g),
-                "detail": f"direct={member}, complement oracle={not member}",
-            })
-    if not member:
-        return
-    acc["members"] += 1
-    connected = is_connected(g)
-    if not connected:
-        acc["disconnected_members"] += 1
-
-    need_invariants = "bound" in checks or "lemma2" in checks
-    if need_invariants:
-        omega = clique_number(g)
-        chi, _ = chi_via_matching(g)
-    if "bound" in checks:
-        bound = bound_f(omega)
-        hist = acc["omega_histogram"].setdefault(
-            omega, {"count": 0, "max_chi": 0, "bound": bound, "violations": 0})
-        hist["count"] += 1
-        hist["max_chi"] = max(hist["max_chi"], chi)
-        if chi > bound:
-            hist["violations"] += 1
-            acc["violations"].append({
-                "check": "bound",
-                "graph6": serialize_graph6(g),
-                "detail": f"chi={chi} exceeds f({omega})={bound}",
-            })
-        # Cross-check the matching engine on a deterministic 1% subsample.
-        if g.n <= exact_limit and _crosscheck_selected(g):
-            exact_chi, _ = chromatic_exact(g, limit=exact_limit)
-            if exact_chi != chi:
-                acc["violations"].append({
-                    "check": "engine",
-                    "graph6": serialize_graph6(g),
-                    "detail": f"matching chi={chi}, exact chi={exact_chi}",
-                })
-    if "lemma2" in checks and connected and omega == 3:
-        acc["lemma2"]["checked"] += 1
-        problems = []
-        if g.max_degree() > 5:
-            problems.append(f"delta={g.max_degree()}")
-        if g.n > 8:
-            problems.append(f"n={g.n}")
-        if chi > 4:
-            problems.append(f"chi={chi}")
-        if problems:
-            acc["violations"].append({
-                "check": "lemma2",
-                "graph6": serialize_graph6(g),
-                "detail": ", ".join(problems),
-            })
-    if "lemma1" in checks:
-        for v, w in all_partitioning_pairs(g):
-            acc["lemma1"]["pairs_checked"] += 1
-            dec = decompose(g, v, w, check_class=False)
-            report = check_lemma1(g, dec)
-            for name, verdict in report.properties:
-                acc["lemma1"]["properties"][name][verdict.status] += 1
-                if verdict.status == FAILS:
-                    acc["violations"].append({
-                        "check": "lemma1",
-                        "graph6": serialize_graph6(g),
-                        "detail": (f"property {name} fails at pair ({v},{w}), "
-                                   f"witness {list(verdict.witness)}"),
-                    })
-
-
-def _crosscheck_selected(g: Graph) -> bool:
-    # Deterministic, worker- and run-independent 1% selection.
-    return zlib.crc32(serialize_graph6(g).encode()) % 100 == 0
-
-
-def _merge(total: dict, part: dict) -> None:
-    total["graphs"] += part["graphs"]
-    total["members"] += part["members"]
-    total["disconnected_members"] += part["disconnected_members"]
-    for omega, h in part["omega_histogram"].items():
-        t = total["omega_histogram"].setdefault(
-            omega, {"count": 0, "max_chi": 0, "bound": h["bound"], "violations": 0})
-        t["count"] += h["count"]
-        t["max_chi"] = max(t["max_chi"], h["max_chi"])
-        t["violations"] += h["violations"]
-    total["violations"].extend(part["violations"])
-    if "oracle" in part:
-        total["oracle"]["checked"] += part["oracle"]["checked"]
-        total["oracle"]["disagreements"] += part["oracle"]["disagreements"]
-    if "lemma1" in part:
-        total["lemma1"]["pairs_checked"] += part["lemma1"]["pairs_checked"]
-        for name, counts in part["lemma1"]["properties"].items():
-            for status, k in counts.items():
-                total["lemma1"]["properties"][name][status] += k
-    if "lemma2" in part:
-        total["lemma2"]["checked"] += part["lemma2"]["checked"]
-
-
-def _run_chunk(args: tuple[tuple[Graph, ...], tuple[str, ...]]) -> dict:
-    graphs, checks = args
-    acc = _new_accumulator(checks)
-    for g in graphs:
-        _check_graph(g, checks, acc)
-    return acc
-
-
-def _chunked(stream: Iterator[Graph], size: int) -> Iterator[tuple[Graph, ...]]:
-    chunk = []
-    for g in stream:
-        chunk.append(g)
-        if len(chunk) == size:
-            yield tuple(chunk)
-            chunk = []
-    if chunk:
-        yield tuple(chunk)
-
-
-@dataclass(frozen=True)
 class CorpusReport:
-    population: dict
-    checks: tuple[str, ...]
-    graphs: int
-    members: int
-    disconnected_members: int
-    omega_histogram: dict
-    violations: list
-    oracle: Optional[dict] = None
-    lemma1: Optional[dict] = None
-    lemma2: Optional[dict] = None
+    """Tallies and violation certificates of a campaign, or of one chunk.
+
+    Each chunk worker fills a fresh report and the parent merges the chunk
+    reports in stream order.  Merge rule: counts add, an omega row's
+    ``max_chi`` takes the maximum, its ``bound`` is fixed by omega, and
+    violations append in chunk order.  So worker count and chunk size never
+    change a reported value.
+    """
+
+    def __init__(self, population: dict, checks: tuple[str, ...]):
+        self.population = population
+        self.checks = checks
+        self.graphs = 0
+        self.members = 0
+        self.disconnected_members = 0
+        self.omega_histogram: dict = {}
+        self.violations: list = []
+        self.oracle = ({"checked": 0, "disagreements": 0}
+                       if "oracle" in checks else None)
+        self.lemma1 = ({"pairs_checked": 0,
+                        "properties": {p: {HOLDS: 0, VACUOUS: 0, FAILS: 0}
+                                       for p in PROPERTY_NAMES}}
+                       if "lemma1" in checks else None)
+        self.lemma2 = {"checked": 0} if "lemma2" in checks else None
 
     @property
     def has_violations(self) -> bool:
         return bool(self.violations)
+
+    def merge(self, part: CorpusReport) -> None:
+        """Fold in the report of the chunk that follows this one."""
+        self.graphs += part.graphs
+        self.members += part.members
+        self.disconnected_members += part.disconnected_members
+        for mine, theirs in ((self.omega_histogram, part.omega_histogram),
+                             (self.oracle, part.oracle),
+                             (self.lemma1, part.lemma1),
+                             (self.lemma2, part.lemma2)):
+            if mine is not None:
+                _add_counts(mine, theirs)
+        self.violations += part.violations
 
     def to_json_dict(self) -> dict:
         d: dict = {
@@ -332,35 +226,137 @@ class CorpusReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _add_counts(total: dict, part: dict) -> None:
+    """The merge rule on nested count blocks; keys new to total are taken over."""
+    for key, value in part.items():
+        if key not in total:
+            total[key] = value
+        elif isinstance(value, dict):
+            _add_counts(total[key], value)
+        elif key == "max_chi":
+            total[key] = max(total[key], value)
+        elif key != "bound":
+            total[key] += value
+
+
+def _check_graph(g: Graph, report: CorpusReport) -> None:
+    checks = report.checks
+    report.graphs += 1
+    member = is_class_member(g)
+    if "oracle" in checks:
+        report.oracle["checked"] += 1
+        if complement_oracle_check(g) != member:
+            report.oracle["disagreements"] += 1
+            report.violations.append({
+                "check": "oracle",
+                "graph6": serialize_graph6(g),
+                "detail": f"direct={member}, complement oracle={not member}",
+            })
+    if not member:
+        return
+    report.members += 1
+    connected = is_connected(g)
+    if not connected:
+        report.disconnected_members += 1
+
+    need_invariants = "bound" in checks or "lemma2" in checks
+    if need_invariants:
+        omega = clique_number(g)
+        chi, _ = chi_via_matching(g)
+    if "bound" in checks:
+        bound = bound_f(omega)
+        hist = report.omega_histogram.setdefault(
+            omega, {"count": 0, "max_chi": 0, "bound": bound, "violations": 0})
+        hist["count"] += 1
+        hist["max_chi"] = max(hist["max_chi"], chi)
+        if chi > bound:
+            hist["violations"] += 1
+            report.violations.append({
+                "check": "bound",
+                "graph6": serialize_graph6(g),
+                "detail": f"chi={chi} exceeds f({omega})={bound}",
+            })
+        # Cross-check the matching engine on a deterministic 1% subsample.
+        if g.n <= DEFAULT_EXACT_LIMIT and _crosscheck_selected(g):
+            exact_chi, _ = chromatic_exact(g)
+            if exact_chi != chi:
+                report.violations.append({
+                    "check": "engine",
+                    "graph6": serialize_graph6(g),
+                    "detail": f"matching chi={chi}, exact chi={exact_chi}",
+                })
+    if "lemma2" in checks and connected and omega == 3:
+        report.lemma2["checked"] += 1
+        problems = []
+        if g.max_degree() > 5:
+            problems.append(f"delta={g.max_degree()}")
+        if g.n > 8:
+            problems.append(f"n={g.n}")
+        if chi > 4:
+            problems.append(f"chi={chi}")
+        if problems:
+            report.violations.append({
+                "check": "lemma2",
+                "graph6": serialize_graph6(g),
+                "detail": ", ".join(problems),
+            })
+    if "lemma1" in checks:
+        for v, w in all_partitioning_pairs(g):
+            report.lemma1["pairs_checked"] += 1
+            dec = decompose(g, v, w, check_class=False)
+            for name, verdict in check_lemma1(g, dec).properties:
+                report.lemma1["properties"][name][verdict.status] += 1
+                if verdict.status == FAILS:
+                    report.violations.append({
+                        "check": "lemma1",
+                        "graph6": serialize_graph6(g),
+                        "detail": (f"property {name} fails at pair ({v},{w}), "
+                                   f"witness {list(verdict.witness)}"),
+                    })
+
+
+def _crosscheck_selected(g: Graph) -> bool:
+    # Deterministic, worker- and run-independent 1% selection.
+    return zlib.crc32(serialize_graph6(g).encode()) % 100 == 0
+
+
+def _run_chunk(args: tuple[tuple[Graph, ...], dict, tuple[str, ...]]) -> CorpusReport:
+    graphs, population, checks = args
+    report = CorpusReport(population, checks)
+    for g in graphs:
+        _check_graph(g, report)
+    return report
+
+
+def _chunked(stream: Iterator[Graph], size: int) -> Iterator[tuple[Graph, ...]]:
+    chunk = []
+    for g in stream:
+        chunk.append(g)
+        if len(chunk) == size:
+            yield tuple(chunk)
+            chunk = []
+    if chunk:
+        yield tuple(chunk)
+
+
 def run_verification(population: Population,
                      checks: Iterable[str] = ("bound",),
                      jobs: int = 1,
                      chunk_size: int = 4096) -> CorpusReport:
-    checks_t = tuple(dict.fromkeys(
-        "lemma2" if c == "lemma2_scope" else c for c in checks))
+    checks_t = tuple(dict.fromkeys(checks))
     for c in checks_t:
         if c not in VALID_CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {VALID_CHECKS}")
-    total = _new_accumulator(checks_t)
-    chunks = _chunked(population.stream(), chunk_size)
+    descriptor = population.descriptor()
+    total = CorpusReport(descriptor, checks_t)
+    tasks = ((chunk, descriptor, checks_t)
+             for chunk in _chunked(population.stream(), chunk_size))
     if jobs <= 1:
-        for chunk in chunks:
-            _merge(total, _run_chunk((chunk, checks_t)))
+        for task in tasks:
+            total.merge(_run_chunk(task))
     else:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
-            for part in pool.imap(_run_chunk,
-                                  ((chunk, checks_t) for chunk in chunks)):
-                _merge(total, part)
-    return CorpusReport(
-        population=population.descriptor(),
-        checks=checks_t,
-        graphs=total["graphs"],
-        members=total["members"],
-        disconnected_members=total["disconnected_members"],
-        omega_histogram=total["omega_histogram"],
-        violations=total["violations"],
-        oracle=total.get("oracle"),
-        lemma1=total.get("lemma1"),
-        lemma2=total.get("lemma2"),
-    )
+            for part in pool.imap(_run_chunk, tasks):
+                total.merge(part)
+    return total

@@ -53,21 +53,16 @@ def _mc_expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
     return best
 
 
-def clique_number_within(g: Graph, cand: int) -> int:
-    """Size of a maximum clique contained in the given vertex mask."""
-    return _mc_expand(g.adj, 0, cand, 0)
-
-
 def clique_number(g: Graph) -> int:
     return _mc_expand(g.adj, 0, g.full_mask, 0)
 
 
-def max_clique(g: Graph) -> tuple[int, int]:
-    """(omega, vertex mask of the lexicographically smallest maximum clique)."""
-    omega = clique_number(g)
+def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
+    """(size, vertex mask) of the lexicographically smallest maximum clique
+    of g, or of its subgraph induced on the vertex mask ``within``."""
+    cand = g.full_mask if within is None else within
+    size = need = _mc_expand(g.adj, 0, cand, 0)
     clique = 0
-    cand = g.full_mask
-    need = omega
     while need > 0:
         for v in bits(cand):
             if _mc_expand(g.adj, 0, cand & g.adj[v], 0) >= need - 1:
@@ -75,7 +70,7 @@ def max_clique(g: Graph) -> tuple[int, int]:
                 cand &= g.adj[v]
                 need -= 1
                 break
-    return omega, clique
+    return size, clique
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph, bits, popcount
-from .invariants import clique_number_within
+from .invariants import max_clique
 from .patterns import check_membership
 
 HOLDS = "holds"
@@ -47,12 +47,6 @@ class Decomposition:
     # For each y in Y, the vertices of D non-adjacent to y (a general
     # relation; property 1.2 asserts each image is a singleton).
     missmap: tuple[tuple[int, int], ...]
-
-    def miss_of(self, y: int) -> int:
-        for yy, m in self.missmap:
-            if yy == y:
-                return m
-        raise KeyError(y)
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,20 +131,6 @@ def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
     return pairs
 
 
-def _lex_min_max_clique(g: Graph, cand: int) -> int:
-    """Lexicographically smallest maximum clique within the vertex mask."""
-    need = clique_number_within(g, cand)
-    clique = 0
-    while need > 0:
-        for v in bits(cand):
-            if clique_number_within(g, cand & g.adj[v]) >= need - 1:
-                clique |= 1 << v
-                cand &= g.adj[v]
-                need -= 1
-                break
-    return clique
-
-
 def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decomposition:
     if not (0 <= v < g.n and 0 <= w < g.n) or v == w:
         raise DecompositionError(f"invalid pair ({v},{w})")
@@ -169,7 +149,7 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
     if uncovered:
         raise DecompositionError(
             f"vertices adjacent to neither endpoint: {list(bits(uncovered))}")
-    d = _lex_min_max_clique(g, a)
+    _, d = max_clique(g, a)
     y = a & ~d
     missmap = []
     yp = 0

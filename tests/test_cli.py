@@ -142,3 +142,14 @@ class TestCorpus:
     def test_bad_params(self, capsys):
         code, out, err = run(capsys, "corpus", "sample", "9")
         assert code == 1
+
+    @pytest.mark.parametrize("params, message", [
+        (("exhaustive", "-1"), "1 <= n <= 7, got n=-1"),
+        (("exhaustive", "0"), "1 <= n <= 7, got n=0"),
+        (("sample", "9", "-5", "1"), "count must be >= 0, got -5"),
+    ])
+    def test_bad_sizes_exit_1(self, capsys, params, message):
+        code, out, err = run(capsys, "corpus", *params)
+        assert code == 1
+        assert out == ""
+        assert message in err

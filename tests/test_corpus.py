@@ -3,9 +3,9 @@ import json
 import pytest
 
 from chibound.constructions import extremal_omega5
-from chibound.corpus import (enumerate_class, exhaustive_population,
-                             explicit_population, iter_all_graphs,
-                             run_verification, sample_class,
+from chibound.corpus import (CorpusReport, enumerate_class,
+                             exhaustive_population, explicit_population,
+                             iter_all_graphs, run_verification, sample_class,
                              sample_population)
 from chibound.graphs import complete_graph, empty_graph, from_edges, join, serialize_graph6
 from chibound.invariants import clique_number
@@ -45,6 +45,8 @@ class TestEnumerate:
     def test_limit(self):
         with pytest.raises(ValueError):
             list(enumerate_class(8))
+        with pytest.raises(ValueError, match=r"0 <= n <= 7, got n=-1$"):
+            next(iter_all_graphs(-1))
 
 
 class TestSample:
@@ -77,6 +79,21 @@ class TestSample:
             next(sample_class(15, 1, 0))
 
 
+class TestPopulationSizes:
+    @pytest.mark.parametrize("n", [-1, 0, 8])
+    def test_exhaustive_n_outside_range(self, n):
+        with pytest.raises(ValueError, match=rf"1 <= n <= 7, got n={n}$"):
+            exhaustive_population(n)
+
+    def test_negative_sample_count(self):
+        with pytest.raises(ValueError, match=r"count must be >= 0, got -5$"):
+            sample_population(9, -5, 1)
+
+    def test_sample_n_outside_range(self):
+        with pytest.raises(ValueError, match=r"8 <= n <= 14, got n=7$"):
+            sample_population(7, 10, 1)
+
+
 class TestRunVerification:
     def test_exhaustive_bound_and_oracle(self):
         report = run_verification(exhaustive_population(5),
@@ -103,15 +120,10 @@ class TestRunVerification:
             "count": 1, "max_chi": 8, "bound": 8, "violations": 0}
         assert report.violations == []
 
-    def test_lemma2_scope_alias(self):
-        report = run_verification(exhaustive_population(4),
-                                  checks=("lemma2_scope",))
-        assert report.lemma2 is not None
-        assert report.violations == []
-
     def test_unknown_check(self):
-        with pytest.raises(ValueError):
-            run_verification(exhaustive_population(3), checks=("nope",))
+        for check in ("nope", "lemma2_scope"):
+            with pytest.raises(ValueError):
+                run_verification(exhaustive_population(3), checks=(check,))
 
     def test_report_json_shape(self):
         report = run_verification(exhaustive_population(4),
@@ -127,6 +139,36 @@ class TestRunVerification:
         seq = run_verification(pop, checks=("bound",), jobs=1, chunk_size=64)
         par = run_verification(pop, checks=("bound",), jobs=3, chunk_size=64)
         assert seq.to_json() == par.to_json()
+
+    def test_chunking_does_not_change_all_checks_report(self):
+        checks = ("bound", "lemma1", "lemma2", "oracle")
+        pop = exhaustive_population(5)
+        reference = run_verification(pop, checks=checks)
+        assert reference.lemma1["pairs_checked"] > 0
+        assert reference.lemma2["checked"] > 0
+        assert len(reference.omega_histogram) == 4
+        for jobs in (1, 2):
+            for chunk_size in (1, 7, 4096):
+                report = run_verification(pop, checks=checks, jobs=jobs,
+                                          chunk_size=chunk_size)
+                assert report.to_json() == reference.to_json(), (jobs, chunk_size)
+
+    def test_merge_rule(self):
+        def chunk(omega_row, violation):
+            report = CorpusReport({"mode": "explicit", "n": 3}, ("bound", "oracle"))
+            report.graphs = report.members = 1
+            report.omega_histogram[2] = dict(omega_row, bound=3)
+            report.oracle["checked"] = 1
+            report.violations.append(violation)
+            return report
+
+        total = chunk({"count": 2, "max_chi": 3, "violations": 0}, {"check": "a"})
+        total.merge(chunk({"count": 1, "max_chi": 2, "violations": 1}, {"check": "b"}))
+        assert (total.graphs, total.members) == (2, 2)
+        assert total.omega_histogram == {
+            2: {"count": 3, "max_chi": 3, "bound": 3, "violations": 1}}
+        assert total.oracle == {"checked": 2, "disagreements": 0}
+        assert total.violations == [{"check": "a"}, {"check": "b"}]
 
     def test_disconnected_members_flagged(self):
         # Two disjoint triangles: complement is bipartite, so this is a

@@ -34,6 +34,8 @@ class TestMaxClique:
         g = from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         size, clique = max_clique(g)
         assert size == 3 and clique == 0b000111
+        size, clique = max_clique(g, within=0b111110)
+        assert size == 3 and clique == 0b111000
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 9), st.randoms(use_true_random=False))
