@@ -16,7 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, is_connected, serialize_graph6
+from .graphs import Graph, complement, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -93,8 +93,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
             if not comp[u] & comp[v]:  # no common neighbor: stays triangle-free
                 comp[u] |= 1 << v
                 comp[v] |= 1 << u
-        full = (1 << n) - 1
-        g = Graph(n, tuple((full ^ (1 << v)) & ~comp[v] for v in range(n)))
+        g = complement(Graph(n, tuple(comp)))
         attempts += 1
         if is_class_member(g):
             emitted += 1
@@ -185,6 +184,10 @@ class CorpusReport:
                        if "lemma1" in checks else None)
         self.lemma2 = {"checked": 0} if "lemma2" in checks else None
 
+    def add_violation(self, check: str, g: Graph, detail: str) -> None:
+        self.violations.append({"check": check, "graph6": serialize_graph6(g),
+                                "detail": detail})
+
     @property
     def has_violations(self) -> bool:
         return bool(self.violations)
@@ -247,11 +250,8 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
         report.oracle["checked"] += 1
         if complement_oracle_check(g) != member:
             report.oracle["disagreements"] += 1
-            report.violations.append({
-                "check": "oracle",
-                "graph6": serialize_graph6(g),
-                "detail": f"direct={member}, complement oracle={not member}",
-            })
+            report.add_violation(
+                "oracle", g, f"direct={member}, complement oracle={not member}")
     if not member:
         return
     report.members += 1
@@ -271,20 +271,14 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
         hist["max_chi"] = max(hist["max_chi"], chi)
         if chi > bound:
             hist["violations"] += 1
-            report.violations.append({
-                "check": "bound",
-                "graph6": serialize_graph6(g),
-                "detail": f"chi={chi} exceeds f({omega})={bound}",
-            })
+            report.add_violation("bound", g,
+                                 f"chi={chi} exceeds f({omega})={bound}")
         # Cross-check the matching engine on a deterministic 1% subsample.
         if g.n <= DEFAULT_EXACT_LIMIT and _crosscheck_selected(g):
             exact_chi, _ = chromatic_exact(g)
             if exact_chi != chi:
-                report.violations.append({
-                    "check": "engine",
-                    "graph6": serialize_graph6(g),
-                    "detail": f"matching chi={chi}, exact chi={exact_chi}",
-                })
+                report.add_violation(
+                    "engine", g, f"matching chi={chi}, exact chi={exact_chi}")
     if "lemma2" in checks and connected and omega == 3:
         report.lemma2["checked"] += 1
         problems = []
@@ -295,11 +289,7 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
         if chi > 4:
             problems.append(f"chi={chi}")
         if problems:
-            report.violations.append({
-                "check": "lemma2",
-                "graph6": serialize_graph6(g),
-                "detail": ", ".join(problems),
-            })
+            report.add_violation("lemma2", g, ", ".join(problems))
     if "lemma1" in checks:
         for v, w in all_partitioning_pairs(g):
             report.lemma1["pairs_checked"] += 1
@@ -307,12 +297,9 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
             for name, verdict in check_lemma1(g, dec).properties:
                 report.lemma1["properties"][name][verdict.status] += 1
                 if verdict.status == FAILS:
-                    report.violations.append({
-                        "check": "lemma1",
-                        "graph6": serialize_graph6(g),
-                        "detail": (f"property {name} fails at pair ({v},{w}), "
-                                   f"witness {list(verdict.witness)}"),
-                    })
+                    report.add_violation(
+                        "lemma1", g, f"property {name} fails at pair ({v},{w}), "
+                                     f"witness {list(verdict.witness)}")
 
 
 def _crosscheck_selected(g: Graph) -> bool:

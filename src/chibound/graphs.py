@@ -187,7 +187,10 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError("empty graph6 input")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
     for off, byte in enumerate(data):
         if not 63 <= byte <= 126:
             raise GraphFormatError(f"invalid graph6 byte at offset {off}")
@@ -255,6 +258,15 @@ def serialize_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # DIMACS edge-list input ("p edge n m" header, "e u v" lines, 1-indexed)
 
+def _dimacs_ints(tokens: list[str], lineno: int) -> list[int]:
+    """ASCII decimal fields only: int() would also take '1_0', '+1' or '٣'."""
+    for t in tokens:
+        if not (t.isascii() and t.isdigit()):
+            raise GraphFormatError(
+                f"expected a non-negative integer, got {t!r} at line {lineno}")
+    return [int(t) for t in tokens]
+
+
 def parse_dimacs(text: str) -> Graph:
     n = None
     declared_m = None
@@ -269,7 +281,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"duplicate problem line at line {lineno}")
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"malformed problem line at line {lineno}")
-            n, declared_m = int(parts[2]), int(parts[3])
+            n, declared_m = _dimacs_ints(parts[2:], lineno)
             if n > MAX_VERTICES:
                 raise GraphFormatError(
                     f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex kernel")
@@ -278,7 +290,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphFormatError(f"edge before problem line at line {lineno}")
             if len(parts) != 3:
                 raise GraphFormatError(f"malformed edge line at line {lineno}")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = (x - 1 for x in _dimacs_ints(parts[1:], lineno))
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise GraphFormatError(f"edge out of range at line {lineno}")
             edges.append((u, v))

@@ -95,15 +95,15 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     return colors
 
 
-def chromatic_exact(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> tuple[int, tuple[int, ...]]:
+def chromatic_exact(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact chi with a proper coloring witness.
 
-    Raises ExactLimitError beyond ``limit`` vertices; for class members
-    chi_via_matching remains available at any size.
+    Raises ExactLimitError beyond ``DEFAULT_EXACT_LIMIT`` vertices; for class
+    members chi_via_matching remains available at any size.
     """
-    if g.n > limit:
+    if g.n > DEFAULT_EXACT_LIMIT:
         raise ExactLimitError(
-            f"exact coloring limited to {limit} vertices (got {g.n}); "
+            f"exact coloring limited to {DEFAULT_EXACT_LIMIT} vertices (got {g.n}); "
             "use chi_via_matching for graphs without an independent triple")
     n = g.n
     if n == 0:
@@ -304,14 +304,13 @@ class InvariantReport:
         }
 
 
-def compute_invariants(g: Graph, engine: str = "auto",
-                       exact_limit: int = DEFAULT_EXACT_LIMIT) -> InvariantReport:
+def compute_invariants(g: Graph, engine: str = "auto") -> InvariantReport:
     """Full invariant report; engine is 'auto', 'exact' or 'matching'."""
     omega, clique = max_clique(g)
     if engine == "matching" or (engine == "auto" and find_3K1(g) is None):
         chi, coloring = chi_via_matching(g)
     elif engine in ("exact", "auto"):
-        chi, coloring = chromatic_exact(g, limit=exact_limit)
+        chi, coloring = chromatic_exact(g)
     else:
         raise ValueError(f"unknown chi engine {engine!r}")
     bound = bound_f(omega) if omega >= 1 else 0

@@ -6,7 +6,8 @@ B the private neighbors of v and C those of w.  D is a maximum clique of
 the graph induced on A, Y = A - D, and each y in Y misses at least one
 vertex of D; the missed vertices form Y', and X = D - Y'.  The seven
 structural properties are evaluated literally on M1 = D, M2 = Y, M3 = B,
-M4 = C, with v and w kept explicit.
+M4 = C, with v and w kept explicit.  Each property is one function of the
+``PROPERTIES`` table, and ``check_lemma1`` evaluates the table in order.
 """
 from __future__ import annotations
 
@@ -21,9 +22,6 @@ from .patterns import check_membership
 HOLDS = "holds"
 FAILS = "fails"
 VACUOUS = "vacuous"
-
-PROPERTY_NAMES = ("1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7")
-
 
 class NotInClassError(ValueError):
     """Decomposition requested for a graph outside the class."""
@@ -100,25 +98,6 @@ class Lemma1Report:
         }
 
 
-def choose_partitioning_pair(g: Graph) -> Optional[tuple[int, int]]:
-    """Lowest-index maximum-degree vertex and its lowest-index non-neighbor.
-
-    Absent iff the graph is complete (every pair adjacent).
-    """
-    if g.n < 2:
-        return None
-    delta = g.max_degree()
-    for v in range(g.n):
-        if popcount(g.adj[v]) == delta:
-            non = ~g.adj[v] & g.full_mask & ~(1 << v)
-            if non:
-                return v, (non & -non).bit_length() - 1
-            # Max-degree vertex adjacent to everything: graph is complete
-            # iff delta == n-1, and then no vertex has a non-neighbor.
-            return None
-    return None
-
-
 def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
     """Every (v, w) with deg v maximal and vw a non-edge (w in either order)."""
     delta = g.max_degree()
@@ -129,6 +108,15 @@ def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
         for w in bits(~g.adj[v] & g.full_mask & ~(1 << v)):
             pairs.append((v, w))
     return pairs
+
+
+def choose_partitioning_pair(g: Graph) -> Optional[tuple[int, int]]:
+    """Lowest-index maximum-degree vertex and its lowest-index non-neighbor.
+
+    Absent iff every maximum-degree vertex is adjacent to all others.
+    """
+    pairs = all_partitioning_pairs(g)
+    return pairs[0] if pairs else None
 
 
 def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decomposition:
@@ -162,150 +150,124 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
                          missmap=tuple(missmap))
 
 
-def _common_neighbors(g: Graph, u: int, v: int, within: int) -> int:
-    return g.adj[u] & g.adj[v] & within
+# The seven properties, each a function (adj, d) -> PropertyVerdict.
 
-
-def check_lemma1(g: Graph, d: Decomposition) -> Lemma1Report:
-    """Evaluate properties 1.1-1.7 literally on the decomposition.
-
-    1.4 is stated over M1 + M2 but its proof counts inside Y + Y'; both
-    readings are evaluated, the stricter Y + Y' count being the primary
-    verdict and the stated reading recorded in the note.
-    """
-    if d.A | d.B | d.C | (1 << d.v) | (1 << d.w) != g.full_mask:
-        raise DecompositionError("decomposition does not cover the graph")
-    adj = g.adj
-    parts = {"M1": d.D, "M2": d.Y, "M3": d.B, "M4": d.C}
-    results: list[tuple[str, PropertyVerdict]] = []
-
-    # 1.1: each part induces a complete graph.
-    verdict = PropertyVerdict(HOLDS)
-    for name, part in parts.items():
+def _parts_complete(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.1: each part induces a complete graph."""
+    if not d.D | d.Y | d.B | d.C:
+        return PropertyVerdict(VACUOUS)
+    for name, part in (("M1", d.D), ("M2", d.Y), ("M3", d.B), ("M4", d.C)):
         for p, q in combinations(bits(part), 2):
             if not adj[p] >> q & 1:
-                verdict = PropertyVerdict(FAILS, (p, q), f"non-edge inside {name}")
-                break
-        if verdict.status == FAILS:
-            break
-    if all(not part for part in parts.values()):
-        verdict = PropertyVerdict(VACUOUS)
-    results.append(("1.1", verdict))
+                return PropertyVerdict(FAILS, (p, q), f"non-edge inside {name}")
+    return PropertyVerdict(HOLDS)
 
-    # 1.2: every M2 vertex non-adjacent to exactly one M1 vertex.
+
+def _one_miss_per_m2(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.2: every M2 vertex is non-adjacent to exactly one M1 vertex."""
     if not d.Y:
-        results.append(("1.2", PropertyVerdict(VACUOUS)))
-    else:
-        verdict = PropertyVerdict(HOLDS)
-        for y, missed in d.missmap:
-            if popcount(missed) != 1:
-                verdict = PropertyVerdict(
-                    FAILS, (y, *bits(missed)),
-                    "M2 vertex must miss exactly one M1 vertex")
-                break
-        results.append(("1.2", verdict))
+        return PropertyVerdict(VACUOUS)
+    for y, missed in d.missmap:
+        if popcount(missed) != 1:
+            return PropertyVerdict(FAILS, (y, *bits(missed)),
+                                   "M2 vertex must miss exactly one M1 vertex")
+    return PropertyVerdict(HOLDS)
 
-    # 1.3: for every non-adjacent m1 in M1, m2 in M2, every vertex of
-    # M3 or M4 is adjacent to exactly one of them.
-    hyp_pairs_13 = [(m1, m2) for m2 in bits(d.Y) for m1 in bits(d.D & ~adj[m2])]
+
+def _split_by_missed_pair(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.3: for every non-adjacent m1 in M1, m2 in M2, every vertex of M3 or
+    M4 is adjacent to exactly one of them."""
+    hyp = [(m1, m2) for m2 in bits(d.Y) for m1 in bits(d.D & ~adj[m2])]
     others = d.B | d.C
-    if not hyp_pairs_13 or not others:
-        results.append(("1.3", PropertyVerdict(VACUOUS)))
-    else:
-        verdict = PropertyVerdict(HOLDS)
-        for m1, m2 in hyp_pairs_13:
-            for m in bits(others):
-                cnt = (adj[m] >> m1 & 1) + (adj[m] >> m2 & 1)
-                if cnt != 1:
-                    verdict = PropertyVerdict(FAILS, (m1, m2, m))
-                    break
-            if verdict.status == FAILS:
-                break
-        results.append(("1.3", verdict))
+    if not hyp or not others:
+        return PropertyVerdict(VACUOUS)
+    for m1, m2 in hyp:
+        for m in bits(others):
+            if (adj[m] >> m1 & 1) + (adj[m] >> m2 & 1) != 1:
+                return PropertyVerdict(FAILS, (m1, m2, m))
+    return PropertyVerdict(HOLDS)
 
-    # 1.4: pairs inside M3 and inside M4 share at least |M2| - 2 common
-    # neighbors.  Primary count inside Y + Y', stated reading over M1 + M2.
+
+def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.4: pairs inside M3 and inside M4 share at least |M2| - 2 common
+    neighbors.
+
+    Stated over M1 + M2, but its proof counts inside Y + Y'; the stricter
+    Y + Y' count is the verdict and the stated reading goes in the note.
+    """
+    pairs = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits(part), 2)]
+    if not pairs:
+        return PropertyVerdict(VACUOUS)
     need = popcount(d.Y) - 2
-    pairs_14 = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits(part), 2)]
-    if not pairs_14:
-        results.append(("1.4", PropertyVerdict(VACUOUS)))
-    else:
-        proof_fail = None
-        stated_fail = None
-        for p, q in pairs_14:
-            if popcount(_common_neighbors(g, p, q, d.Y | d.Yp)) < need:
-                proof_fail = proof_fail or (p, q)
-            if popcount(_common_neighbors(g, p, q, d.D | d.Y)) < need:
-                stated_fail = stated_fail or (p, q)
-        note = ("stated M1+M2 reading: "
-                + (FAILS if stated_fail else HOLDS))
-        if proof_fail:
-            results.append(("1.4", PropertyVerdict(FAILS, proof_fail, note)))
-        else:
-            results.append(("1.4", PropertyVerdict(HOLDS, (), note)))
+    stated_fails = any(popcount(adj[p] & adj[q] & (d.D | d.Y)) < need
+                       for p, q in pairs)
+    note = "stated M1+M2 reading: " + (FAILS if stated_fails else HOLDS)
+    for p, q in pairs:
+        if popcount(adj[p] & adj[q] & (d.Y | d.Yp)) < need:
+            return PropertyVerdict(FAILS, (p, q), note)
+    return PropertyVerdict(HOLDS, note=note)
 
-    # 1.5: adjacent cross pairs b in M3, c in M4 share at least |M2| - 1
-    # common neighbors from M1 + M2.
-    need = popcount(d.Y) - 1
+
+def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.5: adjacent cross pairs b in M3, c in M4 share at least |M2| - 1
+    common neighbors from M1 + M2."""
     cross = [(b, c) for b in bits(d.B) for c in bits(d.C & adj[b])]
     if not cross:
-        results.append(("1.5", PropertyVerdict(VACUOUS)))
-    else:
-        verdict = PropertyVerdict(HOLDS)
-        for b, c in cross:
-            if popcount(_common_neighbors(g, b, c, d.D | d.Y)) < need:
-                verdict = PropertyVerdict(FAILS, (b, c))
-                break
-        results.append(("1.5", verdict))
+        return PropertyVerdict(VACUOUS)
+    need = popcount(d.Y) - 1
+    for b, c in cross:
+        if popcount(adj[b] & adj[c] & (d.D | d.Y)) < need:
+            return PropertyVerdict(FAILS, (b, c))
+    return PropertyVerdict(HOLDS)
 
-    # 1.6: under |M1| >= |M2| >= 4, the cross edges between M3 and M4 are
-    # all present or all absent (both parts are already complete by 1.1).
+
+def _cross_all_or_none(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.6: under |M1| >= |M2| >= 4, the cross edges between M3 and M4 are
+    all present or all absent; the witness is the last absent pair."""
     if not (popcount(d.D) >= popcount(d.Y) >= 4) or not d.B or not d.C:
-        results.append(("1.6", PropertyVerdict(VACUOUS)))
-    else:
-        present = 0
-        absent = 0
-        witness_edge: tuple[int, ...] = ()
-        for b in bits(d.B):
-            for c in bits(d.C):
-                if adj[b] >> c & 1:
-                    present += 1
-                else:
-                    absent += 1
-                    witness_edge = (b, c)
-        if present and absent:
-            results.append(("1.6", PropertyVerdict(
-                FAILS, witness_edge, "mixed cross adjacency")))
-        else:
-            results.append(("1.6", PropertyVerdict(HOLDS)))
+        return PropertyVerdict(VACUOUS)
+    present = any(d.C & adj[b] for b in bits(d.B))
+    absent = [(b, c) for b in bits(d.B) for c in bits(d.C & ~adj[b])]
+    if present and absent:
+        return PropertyVerdict(FAILS, absent[-1], "mixed cross adjacency")
+    return PropertyVerdict(HOLDS)
 
-    # 1.7: b in M3 adjacent to distinct c, c' in M4; any m in M1 + M2
-    # adjacent to both c and c' is adjacent to b, and any m adjacent to
-    # neither is non-adjacent to b.
-    verdict = None
-    hyp_seen = False
+
+def _b_follows_c_pair(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+    """1.7: b in M3 adjacent to distinct c, c' in M4; any m in M1 + M2
+    adjacent to both c and c' is adjacent to b, and any m adjacent to
+    neither is non-adjacent to b."""
     m1m2 = d.D | d.Y
+    hyp_seen = False
     for b in bits(d.B):
-        cs = list(bits(d.C & adj[b]))
-        for c, cp in combinations(cs, 2):
+        for c, cp in combinations(bits(d.C & adj[b]), 2):
             hyp_seen = True
             both = adj[c] & adj[cp] & m1m2
             neither = ~adj[c] & ~adj[cp] & m1m2
             bad = (both & ~adj[b]) | (neither & adj[b])
             if bad:
-                m = (bad & -bad).bit_length() - 1
-                verdict = PropertyVerdict(FAILS, (b, c, cp, m))
-                break
-        if verdict:
-            break
-    if verdict is None:
-        verdict = PropertyVerdict(HOLDS) if hyp_seen else PropertyVerdict(VACUOUS)
-    results.append(("1.7", verdict))
+                return PropertyVerdict(FAILS, (b, c, cp, (bad & -bad).bit_length() - 1))
+    return PropertyVerdict(HOLDS if hyp_seen else VACUOUS)
 
-    injective = True
-    seen = 0
-    for _, missed in d.missmap:
-        if seen & missed:
-            injective = False
-        seen |= missed
-    return Lemma1Report(tuple(results), missmap_injective=injective)
+
+PROPERTIES = (
+    ("1.1", _parts_complete),
+    ("1.2", _one_miss_per_m2),
+    ("1.3", _split_by_missed_pair),
+    ("1.4", _inner_common_neighbors),
+    ("1.5", _cross_common_neighbors),
+    ("1.6", _cross_all_or_none),
+    ("1.7", _b_follows_c_pair),
+)
+PROPERTY_NAMES = tuple(name for name, _ in PROPERTIES)
+
+
+def check_lemma1(g: Graph, d: Decomposition) -> Lemma1Report:
+    """Evaluate every property of ``PROPERTIES`` literally on the decomposition."""
+    if d.A | d.B | d.C | (1 << d.v) | (1 << d.w) != g.full_mask:
+        raise DecompositionError("decomposition does not cover the graph")
+    # Y' is the union of the missed sets, so they are pairwise disjoint iff
+    # their sizes add up to |Y'|.
+    injective = sum(popcount(m) for _, m in d.missmap) == popcount(d.Yp)
+    return Lemma1Report(tuple((name, prop(g.adj, d)) for name, prop in PROPERTIES),
+                        missmap_injective=injective)

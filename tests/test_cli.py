@@ -53,6 +53,12 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    def test_non_ascii_graph6_exit_1(self, capsys):
+        code, out, err = run(capsys, "check", "DéW")
+        assert code == 1
+        assert out == ""
+        assert "offset 1" in err
+
     def test_dimacs_input(self, capsys, monkeypatch):
         dimacs = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
         code, out, err = run(capsys, "check", "-", "--format", "dimacs",

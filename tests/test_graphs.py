@@ -64,6 +64,12 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="padding"):
             parse_graph6("A~")
 
+    def test_non_ascii_rejected_not_replaced(self):
+        # 'é' must not be read as '?', which would make this a 5-vertex graph.
+        with pytest.raises(GraphFormatError,
+                           match="^invalid graph6 byte at offset 1$"):
+            parse_graph6("DéW")
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.randoms(use_true_random=False))
     def test_roundtrip_random(self, n, rng):
@@ -175,3 +181,11 @@ class TestDimacs:
     def test_out_of_range(self):
         with pytest.raises(GraphFormatError):
             parse_dimacs("p edge 3 1\ne 1 9\n")
+
+    @pytest.mark.parametrize("text, field", [
+        ("c header next\np edge x 1\n", "x"),
+        ("p edge 3 1\ne 1 z\n", "z"),
+    ])
+    def test_non_integer_field_located(self, text, field):
+        with pytest.raises(GraphFormatError, match=f"'{field}' at line 2$"):
+            parse_dimacs(text)

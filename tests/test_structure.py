@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from chibound.constructions import OMEGA5_VERTEX_NAMES, extremal_omega5
 from chibound.corpus import iter_all_graphs
-from chibound.graphs import bits, complete_graph, from_edges, join, mask_of
+from chibound.graphs import (bits, complete_graph, from_edges, join, mask_of,
+                             parse_graph6)
 from chibound.patterns import is_class_member
 from chibound.structure import (FAILS, HOLDS, VACUOUS, DecompositionError,
                                 NotInClassError, all_partitioning_pairs,
@@ -123,15 +126,83 @@ class TestLemma1:
     def test_exhaustive_small(self):
         # Every member on up to 6 vertices, every partitioning pair: no
         # property may fail, and the stated reading of 1.4 must agree.
-        for n in range(2, 7):
+        # On every graph, member or not, the chosen pair is the first of
+        # all partitioning pairs.
+        for n in range(7):
             for g in iter_all_graphs(n):
+                pairs = all_partitioning_pairs(g)
+                assert choose_partitioning_pair(g) == (pairs or [None])[0]
                 if not is_class_member(g):
                     continue
-                for v, w in all_partitioning_pairs(g):
+                for v, w in pairs:
                     report = check_lemma1(g, decompose(g, v, w, check_class=False))
                     assert not report.has_failure
                     v14 = report.verdict("1.4")
                     assert not v14.note.endswith(FAILS)
+
+    # Non-members on which each property fails somewhere; the full report
+    # JSON (status, witness, note) is pinned.  Property 1.6 is vacuous on
+    # every graph with n <= 7, so its failures need 14 vertices.  On
+    # MIXED14 the absent cross pairs are (9, 2) and (9, 11), and the 1.6
+    # witness is the last of them.
+    DENSE14 = "Mubz^r}V~{zn\\z{n_"
+    MIXED14 = "Mu]~^hzVZ~x|uv\\~_"
+    FAILING = {
+        ("IZuvyra^G", 0, 1): ({
+            "1.1": {"status": "fails", "witness": [7, 9],
+                    "note": "non-edge inside M4"},
+            "1.2": {"status": "fails", "witness": [4, 2, 8],
+                    "note": "M2 vertex must miss exactly one M1 vertex"},
+            "1.3": {"status": "fails", "witness": [2, 4, 3]},
+            "1.4": {"status": "holds", "note": "stated M1+M2 reading: holds"},
+            "1.5": {"status": "holds"},
+            "1.6": {"status": "vacuous"},
+            "1.7": {"status": "fails", "witness": [5, 3, 9, 4]},
+        }, True),
+        (DENSE14, 0, 6): ({
+            "1.1": {"status": "fails", "witness": [2, 4],
+                    "note": "non-edge inside M2"},
+            "1.2": {"status": "holds"},
+            "1.3": {"status": "fails", "witness": [1, 2, 7]},
+            "1.4": {"status": "fails", "witness": [3, 7],
+                    "note": "stated M1+M2 reading: fails"},
+            "1.5": {"status": "fails", "witness": [7, 9]},
+            "1.6": {"status": "vacuous"},
+            "1.7": {"status": "fails", "witness": [7, 9, 12, 5]},
+        }, False),
+        (DENSE14, 6, 11): ({
+            "1.1": {"status": "fails", "witness": [4, 12],
+                    "note": "non-edge inside M2"},
+            "1.2": {"status": "holds"},
+            "1.3": {"status": "fails", "witness": [1, 4, 0]},
+            "1.4": {"status": "holds", "note": "stated M1+M2 reading: holds"},
+            "1.5": {"status": "fails", "witness": [2, 7]},
+            "1.6": {"status": "fails", "witness": [2, 3],
+                    "note": "mixed cross adjacency"},
+            "1.7": {"status": "fails", "witness": [2, 0, 7, 1]},
+        }, True),
+        (MIXED14, 3, 6): ({
+            "1.1": {"status": "fails", "witness": [0, 13],
+                    "note": "non-edge inside M2"},
+            "1.2": {"status": "fails", "witness": [0, 4, 8, 10],
+                    "note": "M2 vertex must miss exactly one M1 vertex"},
+            "1.3": {"status": "fails", "witness": [4, 0, 2]},
+            "1.4": {"status": "holds", "note": "stated M1+M2 reading: holds"},
+            "1.5": {"status": "holds"},
+            "1.6": {"status": "fails", "witness": [9, 11],
+                    "note": "mixed cross adjacency"},
+            "1.7": {"status": "fails", "witness": [7, 2, 11, 4]},
+        }, False),
+    }
+
+    @pytest.mark.parametrize("line, v, w", sorted(FAILING))
+    def test_failing_verdicts_pinned(self, line, v, w):
+        g = parse_graph6(line)
+        assert not is_class_member(g)
+        report = check_lemma1(g, decompose(g, v, w, check_class=False))
+        properties, injective = self.FAILING[line, v, w]
+        assert json.dumps(report.to_json_dict()) == json.dumps(
+            {"properties": properties, "missmap_injective": injective})
 
     def test_partition_covers_every_non_edge(self):
         # The five-way split covers V for every non-edge, not just
