@@ -3,34 +3,36 @@
 Subcommands: check, invariants, decompose, gen, corpus.  Verdict data goes
 to stdout as JSON (one object per input line when reading "-"); usage and
 runtime errors go to stderr with exit 1.  check exits 2 on exclusion and
-corpus exits 3 on any violation.
+corpus exits 3 on any violation.  A "-" graph6 stream answers a failed line
+K with {"line": K, "error": ...} and goes on, then exits 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Iterator
 
 from .constructions import (cycle, extremal_even, extremal_odd,
                             extremal_omega5, wheel6)
-from .corpus import (exhaustive_population, run_verification,
-                     sample_population)
-from .graphs import (Graph, GraphFormatError, is_connected, parse_dimacs,
-                     parse_graph6, serialize_graph6)
+from .corpus import exhaustive_population, run_verification, sample_population
+from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
 from .invariants import compute_invariants
 from .patterns import check_membership
-from .structure import (DecompositionError, NotInClassError, check_lemma1,
-                        choose_partitioning_pair, decompose)
+from .structure import check_lemma1, choose_partitioning_pair, decompose
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EXCLUDED = 2
 EXIT_VIOLATION = 3
+_SEVERITY = (EXIT_OK, EXIT_EXCLUDED, EXIT_ERROR)  # a stream exits with the worst
 
 
 class CliError(Exception):
     pass
+
+
+_FAILURES = (CliError, ValueError, RuntimeError)  # every input error subclasses one
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,85 +42,68 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _read_graphs(source: str, fmt: str) -> Iterator[Graph]:
-    if fmt == "dimacs":
-        text = sys.stdin.read() if source == "-" else source
-        yield parse_dimacs(text)
-        return
-    if source == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                yield parse_graph6(line)
-    else:
-        yield parse_graph6(source)
+def answer_check(g, args) -> tuple[dict, int]:
+    witness = check_membership(g)
+    out = {"graph6": serialize_graph6(g), "member": witness is None,
+           "connected": is_connected(g)}
+    if witness is None:
+        return out, EXIT_OK
+    return {**out, "witness": witness.to_json_dict()}, EXIT_EXCLUDED
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
+def answer_invariants(g, args) -> tuple[dict, int]:
+    return compute_invariants(g, engine=args.engine).to_json_dict(), EXIT_OK
 
 
-def cmd_check(args) -> int:
+def answer_decompose(g, args) -> tuple[dict, int]:
+    pair = args.pair or choose_partitioning_pair(g)
+    if pair is None:
+        raise CliError("no partitioning pair: every maximum-degree "
+                       "vertex is adjacent to all others")
+    dec = decompose(g, *pair)
+    return {**dec.to_json_dict(), **check_lemma1(g, dec).to_json_dict()}, EXIT_OK
+
+
+def _inputs(args):
+    """(line number, text) per input graph; None where an error ends the run."""
+    if args.graph != "-":
+        return [(None, args.graph)]
+    if args.format == "dimacs":
+        return [(None, sys.stdin.read())]
+    return ((k, line) for k, line in enumerate(sys.stdin, start=1) if line.strip())
+
+
+def cmd_per_graph(args) -> int:
+    """Print args.answer's JSON record for each input graph."""
+    parse = parse_dimacs if args.format == "dimacs" else parse_graph6
     status = EXIT_OK
-    for g in _read_graphs(args.graph, args.format):
-        witness = check_membership(g)
-        out = {
-            "graph6": serialize_graph6(g),
-            "member": witness is None,
-            "connected": is_connected(g),
-        }
-        if witness is not None:
-            out["witness"] = witness.to_json_dict()
-            status = EXIT_EXCLUDED
-        _emit(out)
+    for lineno, text in _inputs(args):
+        try:
+            record, code = args.answer(parse(text), args)
+        except _FAILURES as exc:
+            if lineno is None:
+                raise
+            print(f"chibound: error: line {lineno}: {exc}", file=sys.stderr)
+            record, code = {"line": lineno, "error": str(exc)}, EXIT_ERROR
+        print(json.dumps(record))
+        status = max(status, code, key=_SEVERITY.index)
     return status
 
 
-def cmd_invariants(args) -> int:
-    engine = "auto"
-    if args.exact:
-        engine = "exact"
-    elif args.matching:
-        engine = "matching"
-    for g in _read_graphs(args.graph, args.format):
-        report = compute_invariants(g, engine=engine)
-        _emit(report.to_json_dict())
-    return EXIT_OK
-
-
-def cmd_decompose(args) -> int:
-    for g in _read_graphs(args.graph, args.format):
-        if args.pair:
-            v, w = args.pair
-        else:
-            pair = choose_partitioning_pair(g)
-            if pair is None:
-                raise CliError("no partitioning pair: every maximum-degree "
-                               "vertex is adjacent to all others")
-            v, w = pair
-        dec = decompose(g, v, w)
-        report = check_lemma1(g, dec)
-        _emit({**dec.to_json_dict(), **report.to_json_dict()})
-    return EXIT_OK
-
-
-_GENERATORS = {
-    "c5": lambda args: cycle(5),
-    "w6": lambda args: wheel6(),
-    "even": lambda args: extremal_even(args.param),
-    "odd": lambda args: extremal_odd(args.param),
-    "omega5": lambda args: extremal_omega5(),
-}
+_GENERATORS = {"c5": lambda: cycle(5), "w6": wheel6, "even": extremal_even,
+               "odd": extremal_odd, "omega5": extremal_omega5}
+_SIZED = ("even", "odd")  # the families whose generator takes a parameter
 
 
 def cmd_gen(args) -> int:
-    if args.family in ("even", "odd") and args.param is None:
-        raise CliError(f"gen {args.family} requires a parameter")
-    g = _GENERATORS[args.family](args)
+    sized = args.family in _SIZED
+    if sized == (args.param is None):
+        raise CliError(f"gen {args.family} takes {'one' if sized else 'no'} parameter")
+    g = _GENERATORS[args.family](*((args.param,) if sized else ()))
     line = serialize_graph6(g)
     if args.verify:
-        report = compute_invariants(g)
-        _emit({"graph6": line, "report": report.to_json_dict()})
+        print(json.dumps({"graph6": line,
+                          "report": compute_invariants(g).to_json_dict()}))
     else:
         print(line)
     return EXIT_OK
@@ -143,6 +128,14 @@ def cmd_corpus(args) -> int:
     return EXIT_VIOLATION if report.has_violations else EXIT_OK
 
 
+def _job_count(text: str) -> int:
+    """--jobs: at least 1; more workers than CPUs are not started."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="chibound",
                      description="Toolkit for a hereditary graph class: "
@@ -150,32 +143,31 @@ def build_parser() -> _Parser:
                                  "extremal families, verification corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
+    def add_per_graph(name, answer, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("graph", help="graph6 string, or '-' for stdin lines")
         p.add_argument("--format", choices=("graph6", "dimacs"),
                        default="graph6")
+        p.set_defaults(func=cmd_per_graph, answer=answer)
+        return p
 
-    p = sub.add_parser("check", help="class membership verdict")
-    add_input(p)
-    p.set_defaults(func=cmd_check)
+    add_per_graph("check", answer_check, "class membership verdict")
 
-    p = sub.add_parser("invariants", help="omega, chi, degree, bound report")
-    add_input(p)
-    p.add_argument("--exact", action="store_true",
-                   help="force the branch-and-bound chi engine")
-    p.add_argument("--matching", action="store_true",
-                   help="force the matching-identity chi engine")
-    p.set_defaults(func=cmd_invariants)
+    p = add_per_graph("invariants", answer_invariants, "omega, chi, degree, bound report")
+    engines = p.add_mutually_exclusive_group()
+    engines.add_argument("--exact", dest="engine", action="store_const",
+                         const="exact", default="auto",
+                         help="force the branch-and-bound chi engine")
+    engines.add_argument("--matching", dest="engine", action="store_const",
+                         const="matching", help="force the matching-identity chi engine")
 
-    p = sub.add_parser("decompose", help="partitioning-pair decomposition "
-                                         "and structural property report")
-    add_input(p)
+    p = add_per_graph("decompose", answer_decompose, "partitioning-pair "
+                      "decomposition and structural property report")
     p.add_argument("--pair", nargs=2, type=int, metavar=("V", "W"))
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gen", help="emit a generator's graph6 line")
     p.add_argument("family", choices=sorted(_GENERATORS))
-    p.add_argument("param", nargs="?", type=int, default=None)
+    p.add_argument("param", nargs="?", type=int)
     p.add_argument("--verify", action="store_true",
                    help="attach a full invariant report")
     p.set_defaults(func=cmd_gen)
@@ -186,7 +178,8 @@ def build_parser() -> _Parser:
                    help="exhaustive: n; sample: n count seed")
     p.add_argument("--checks", default="bound",
                    help="comma list from bound,lemma1,lemma2,oracle")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_job_count, default=1,
+                   help="worker processes, at most the CPU count")
     p.add_argument("--dump-violations", metavar="PATH",
                    help="write violating graph6 lines to a file")
     p.set_defaults(func=cmd_corpus)
@@ -194,13 +187,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, GraphFormatError, DecompositionError, NotInClassError,
-            ValueError, RuntimeError) as exc:
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except _FAILURES as exc:
         print(f"chibound: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

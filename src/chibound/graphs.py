@@ -183,10 +183,10 @@ def is_connected(g: Graph) -> bool:
 
 def parse_graph6(text: str) -> Graph:
     line = text.strip()
-    if not line:
-        raise GraphFormatError("empty graph6 input")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+    if not line:
+        raise GraphFormatError("empty graph6 input")
     try:
         data = line.encode("ascii")
     except UnicodeEncodeError as exc:

@@ -1,10 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chibound
+from chibound import cli
 from chibound.cli import main
-from chibound.constructions import extremal_omega5
+from chibound.constructions import extremal_omega5, wheel6
 from chibound.graphs import from_edges, serialize_graph6
 
 
@@ -48,6 +54,29 @@ class TestCheck:
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert [p["member"] for p in lines] == [True, False]
 
+    def test_stream_goes_on_after_bad_line(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "check", "-", stdin="DUW\n\nD?\nE?~o\n",
+                             monkeypatch=monkeypatch)
+        assert code == 1  # a failed line outranks the exclusion of line 4
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[1] == {"line": 3, "error": "truncated graph6 body at offset 2"}
+        assert [lines[0]["member"], lines[2]["member"]] == [True, False]
+        assert "line 3: truncated graph6 body" in err
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        stdin = tmp_path / "in.g6"
+        stdin.write_text(f"{cycle6()}\n" * 3000)  # far more than a pipe holds
+        env = {**os.environ, "PYTHONPATH": str(Path(chibound.__file__).parents[1])}
+        with open(stdin) as fh:
+            proc = subprocess.Popen([sys.executable, "-m", "chibound.cli", "check", "-"],
+                                    stdin=fh, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["member"] is False
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
+
     def test_bad_graph6_exit_1(self, capsys):
         code, out, err = run(capsys, "check", "D?")
         assert code == 1
@@ -81,6 +110,12 @@ class TestInvariants:
             assert code == 0
             assert json.loads(out)["chi"] == 3
 
+    def test_engines_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", c5(), "--exact", "--matching"])
+        assert exc.value.code == 1
+        assert "not allowed with" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_default_pair(self, capsys):
@@ -100,6 +135,16 @@ class TestDecompose:
         assert code == 1
         assert "not in the class" in err
 
+    def test_stream_goes_on_after_failed_line(self, capsys, monkeypatch):
+        w6 = serialize_graph6(wheel6())  # its hub leaves no partitioning pair
+        code, out, err = run(capsys, "decompose", "-", stdin=f"{c5()}\n{w6}\n{c5()}\n",
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        first, failed, last = [json.loads(line) for line in out.splitlines()]
+        assert first == last and (first["v"], first["w"]) == (0, 2)
+        assert failed["line"] == 2
+        assert failed["error"].startswith("no partitioning pair")
+
 
 class TestGen:
     def test_bare_graph6(self, capsys):
@@ -118,6 +163,13 @@ class TestGen:
     def test_even_requires_param(self, capsys):
         code, out, err = run(capsys, "gen", "even")
         assert code == 1
+
+    @pytest.mark.parametrize("family, param", [("c5", "7"), ("omega5", "3")])
+    def test_parameter_rejected(self, capsys, family, param):
+        code, out, err = run(capsys, "gen", family, param)
+        assert code == 1
+        assert out == ""
+        assert f"gen {family} takes no parameter" in err
 
     def test_even_two(self, capsys):
         code, out, err = run(capsys, "gen", "even", "2")
@@ -159,3 +211,23 @@ class TestCorpus:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "exhaustive", "3", "--jobs", jobs])
+        assert exc.value.code == 1
+        assert f"must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        seen = []
+        real = cli.run_verification
+
+        def record(population, checks, jobs):
+            seen.append(jobs)
+            return real(population, checks, jobs=1)
+
+        monkeypatch.setattr(cli, "run_verification", record)
+        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--jobs", "100000")
+        assert code == 0
+        assert seen == [os.cpu_count()]

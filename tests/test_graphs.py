@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chibound.graphs import (Graph, GraphFormatError, complement,
                              complete_graph, connected_components,
@@ -50,6 +50,7 @@ class TestGraph6:
         "D?{{",        # trailing garbage
         "D?\x1f",      # byte below 63
         "~~~???",      # >2^18 vertex form
+        ">>graph6<<",  # header only
     ])
     def test_malformed(self, bad):
         with pytest.raises(GraphFormatError):
@@ -75,6 +76,38 @@ class TestGraph6:
     def test_roundtrip_random(self, n, rng):
         g = random_graph(n, 0.5, rng)
         assert parse_graph6(serialize_graph6(g)) == g
+
+
+def _parses_or_rejects(parse, text):
+    try:
+        g = parse(text)
+    except GraphFormatError:
+        return
+    g.check_invariants()
+
+
+_graph6_like = st.builds(lambda head, body: head + body,
+                         st.sampled_from(["", ">>graph6<<", "~"]),
+                         st.text(st.characters(min_codepoint=32, max_codepoint=127)))
+_dimacs_line = st.builds(lambda kind, fields: " ".join([kind, *fields]),
+                         st.sampled_from(["p edge", "p col", "p", "e", "c", "x"]),
+                         st.lists(st.one_of(st.integers(-1, 70).map(str),
+                                            st.text(max_size=3)), max_size=4))
+
+
+class TestParserFuzz:
+    """Any text parses to a valid graph or raises GraphFormatError."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.text(), _graph6_like))
+    @example(">>graph6<<")
+    def test_graph6(self, text):
+        _parses_or_rejects(parse_graph6, text)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_dimacs_line, max_size=8).map("\n".join)))
+    def test_dimacs(self, text):
+        _parses_or_rejects(parse_dimacs, text)
 
 
 class TestCombinators:
