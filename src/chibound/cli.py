@@ -15,7 +15,8 @@ import sys
 
 from .constructions import (cycle, extremal_even, extremal_odd,
                             extremal_omega5, wheel6)
-from .corpus import exhaustive_population, run_verification, sample_population
+from .corpus import (VALID_CHECKS, exhaustive_population, run_verification,
+                     sample_population)
 from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
 from .invariants import compute_invariants
 from .patterns import check_membership
@@ -177,7 +178,7 @@ def build_parser() -> _Parser:
     p.add_argument("params", nargs="+", type=int,
                    help="exhaustive: n; sample: n count seed")
     p.add_argument("--checks", default="bound",
-                   help="comma list from bound,lemma1,lemma2,oracle")
+                   help=f"comma list from {','.join(VALID_CHECKS)}")
     p.add_argument("--jobs", type=_job_count, default=1,
                    help="worker processes, at most the CPU count")
     p.add_argument("--dump-violations", metavar="PATH",

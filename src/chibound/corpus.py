@@ -10,11 +10,12 @@ reported value.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, complement, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
@@ -113,46 +114,36 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class Population:
-    mode: str  # "exhaustive" | "sample" | "explicit"
-    n: int
-    count: int = 0
-    seed: int = 0
-    graphs: tuple[Graph, ...] = ()
+    """A campaign's input: the report's ``population`` block and a
+    zero-argument function that starts the graph stream afresh."""
+    block: dict
+    start: Callable[[], Iterator[Graph]]
 
     def descriptor(self) -> dict:
-        d: dict = {"mode": self.mode, "n": self.n}
-        if self.mode == "sample":
-            d["count"] = self.count
-            d["seed"] = self.seed
-        if self.mode == "explicit":
-            d["count"] = len(self.graphs)
-        return d
+        return dict(self.block)
 
     def stream(self) -> Iterator[Graph]:
-        """Graphs the checks run over; all labeled graphs in exhaustive mode
-        (the oracle check wants non-members too), members otherwise."""
-        if self.mode == "exhaustive":
-            return iter_all_graphs(self.n)
-        if self.mode == "sample":
-            return sample_class(self.n, self.count, self.seed)
-        return iter(self.graphs)
+        return self.start()
 
 
 def exhaustive_population(n: int) -> Population:
+    """Every labeled graph on n vertices: the oracle check wants non-members too."""
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive campaigns support 1 <= n <= "
                          f"{ENUMERATION_LIMIT}, got n={n}")
-    return Population("exhaustive", n)
+    return Population({"mode": "exhaustive", "n": n}, lambda: iter_all_graphs(n))
 
 
 def sample_population(n: int, count: int, seed: int) -> Population:
     _check_sample_size(n, count)
-    return Population("sample", n, count=count, seed=seed)
+    return Population({"mode": "sample", "n": n, "count": count, "seed": seed},
+                      lambda: sample_class(n, count, seed))
 
 
 def explicit_population(graphs: Iterable[Graph]) -> Population:
     gs = tuple(graphs)
-    return Population("explicit", max((g.n for g in gs), default=0), graphs=gs)
+    return Population({"mode": "explicit", "n": max((g.n for g in gs), default=0),
+                       "count": len(gs)}, lambda: iter(gs))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +159,8 @@ class CorpusReport:
     change a reported value.
     """
 
-    def __init__(self, population: dict, checks: tuple[str, ...]):
-        self.population = population
+    def __init__(self, population: dict | None, checks: tuple[str, ...]):
+        self.population = population  # None on a chunk's report; merge skips it
         self.checks = checks
         self.graphs = 0
         self.members = 0
@@ -307,9 +298,9 @@ def _crosscheck_selected(g: Graph) -> bool:
     return zlib.crc32(serialize_graph6(g).encode()) % 100 == 0
 
 
-def _run_chunk(args: tuple[tuple[Graph, ...], dict, tuple[str, ...]]) -> CorpusReport:
-    graphs, population, checks = args
-    report = CorpusReport(population, checks)
+def _run_chunk(args: tuple[tuple[Graph, ...], tuple[str, ...]]) -> CorpusReport:
+    graphs, checks = args
+    report = CorpusReport(None, checks)
     for g in graphs:
         _check_graph(g, report)
     return report
@@ -331,19 +322,18 @@ def run_verification(population: Population,
                      jobs: int = 1,
                      chunk_size: int = 4096) -> CorpusReport:
     checks_t = tuple(dict.fromkeys(checks))
+    if not checks_t:
+        raise ValueError(f"no checks given; valid: {VALID_CHECKS}")
     for c in checks_t:
         if c not in VALID_CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {VALID_CHECKS}")
-    descriptor = population.descriptor()
-    total = CorpusReport(descriptor, checks_t)
-    tasks = ((chunk, descriptor, checks_t)
-             for chunk in _chunked(population.stream(), chunk_size))
-    if jobs <= 1:
-        for task in tasks:
-            total.merge(_run_chunk(task))
-    else:
-        import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            for part in pool.imap(_run_chunk, tasks):
-                total.merge(part)
+    total = CorpusReport(population.descriptor(), checks_t)
+    tasks = ((chunk, checks_t) for chunk in _chunked(population.stream(), chunk_size))
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            import multiprocessing
+            mapper = stack.enter_context(multiprocessing.Pool(jobs)).imap
+        for part in mapper(_run_chunk, tasks):
+            total.merge(part)
     return total

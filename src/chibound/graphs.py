@@ -24,10 +24,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -50,10 +46,10 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((popcount(a) for a in self.adj), default=0)
+        return max((a.bit_count() for a in self.adj), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -63,7 +59,7 @@ class Graph:
         return out
 
     def edge_count(self) -> int:
-        return sum(popcount(a) for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def check_invariants(self) -> None:
         """Raise ValueError if adjacency is not a valid simple graph."""

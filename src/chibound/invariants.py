@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, complement, popcount
+from .graphs import Graph, bits, complement
 from .patterns import find_3K1
 
 DEFAULT_EXACT_LIMIT = 20
@@ -84,7 +84,7 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     for _ in range(n):
         v = max(
             (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (popcount(neighbor_colors[u]), degrees[u], -u),
+            key=lambda u: (neighbor_colors[u].bit_count(), degrees[u], -u),
         )
         c = 0
         while neighbor_colors[v] >> c & 1:
@@ -134,7 +134,7 @@ def chromatic_exact(g: Graph) -> tuple[int, tuple[int, ...]]:
         pick_key = None
         for u in uncolored:
             if colors[u] == -1:
-                key = (popcount(neighbor_colors[u]), degrees[u], -u)
+                key = (neighbor_colors[u].bit_count(), degrees[u], -u)
                 if pick_key is None or key > pick_key:
                     pick, pick_key = u, key
         if pick == -1:

@@ -101,22 +101,12 @@ def _iter_5pattern_roles(g: Graph):
                         yield (u1, u2, a, b, c)
 
 
-def has_forbidden_5pattern(g: Graph) -> bool:
-    for _ in _iter_5pattern_roles(g):
-        return True
-    return False
-
-
 def find_forbidden_5pattern(g: Graph) -> Optional[PatternWitness]:
     """Smallest witness under lexicographic 5-subset order, if any."""
-    best = None
-    for roles in _iter_5pattern_roles(g):
-        key = (tuple(sorted(roles)), roles)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    roles = min(_iter_5pattern_roles(g), key=lambda r: (sorted(r), r), default=None)
+    if roles is None:
         return None
-    return PatternWitness(TWO_K1_JOIN_K2_K1, best[0], best[1])
+    return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
 
 
 def check_membership(g: Graph) -> Optional[PatternWitness]:
@@ -128,9 +118,7 @@ def check_membership(g: Graph) -> Optional[PatternWitness]:
 
 
 def is_class_member(g: Graph) -> bool:
-    if find_3K1(g) is not None:
-        return False
-    return not has_forbidden_5pattern(g)
+    return find_3K1(g) is None and next(_iter_5pattern_roles(g), None) is None
 
 
 # ---------------------------------------------------------------------------

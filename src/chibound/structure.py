@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, bits
 from .invariants import max_clique
 from .patterns import check_membership
 
@@ -103,7 +103,7 @@ def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
     delta = g.max_degree()
     pairs = []
     for v in range(g.n):
-        if popcount(g.adj[v]) != delta:
+        if g.adj[v].bit_count() != delta:
             continue
         for w in bits(~g.adj[v] & g.full_mask & ~(1 << v)):
             pairs.append((v, w))
@@ -168,7 +168,7 @@ def _one_miss_per_m2(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
     if not d.Y:
         return PropertyVerdict(VACUOUS)
     for y, missed in d.missmap:
-        if popcount(missed) != 1:
+        if missed.bit_count() != 1:
             return PropertyVerdict(FAILS, (y, *bits(missed)),
                                    "M2 vertex must miss exactly one M1 vertex")
     return PropertyVerdict(HOLDS)
@@ -198,12 +198,12 @@ def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyV
     pairs = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits(part), 2)]
     if not pairs:
         return PropertyVerdict(VACUOUS)
-    need = popcount(d.Y) - 2
-    stated_fails = any(popcount(adj[p] & adj[q] & (d.D | d.Y)) < need
+    need = d.Y.bit_count() - 2
+    stated_fails = any((adj[p] & adj[q] & (d.D | d.Y)).bit_count() < need
                        for p, q in pairs)
     note = "stated M1+M2 reading: " + (FAILS if stated_fails else HOLDS)
     for p, q in pairs:
-        if popcount(adj[p] & adj[q] & (d.Y | d.Yp)) < need:
+        if (adj[p] & adj[q] & (d.Y | d.Yp)).bit_count() < need:
             return PropertyVerdict(FAILS, (p, q), note)
     return PropertyVerdict(HOLDS, note=note)
 
@@ -214,9 +214,9 @@ def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyV
     cross = [(b, c) for b in bits(d.B) for c in bits(d.C & adj[b])]
     if not cross:
         return PropertyVerdict(VACUOUS)
-    need = popcount(d.Y) - 1
+    need = d.Y.bit_count() - 1
     for b, c in cross:
-        if popcount(adj[b] & adj[c] & (d.D | d.Y)) < need:
+        if (adj[b] & adj[c] & (d.D | d.Y)).bit_count() < need:
             return PropertyVerdict(FAILS, (b, c))
     return PropertyVerdict(HOLDS)
 
@@ -224,7 +224,7 @@ def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyV
 def _cross_all_or_none(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
     """1.6: under |M1| >= |M2| >= 4, the cross edges between M3 and M4 are
     all present or all absent; the witness is the last absent pair."""
-    if not (popcount(d.D) >= popcount(d.Y) >= 4) or not d.B or not d.C:
+    if not (d.D.bit_count() >= d.Y.bit_count() >= 4) or not d.B or not d.C:
         return PropertyVerdict(VACUOUS)
     present = any(d.C & adj[b] for b in bits(d.B))
     absent = [(b, c) for b in bits(d.B) for c in bits(d.C & ~adj[b])]
@@ -268,6 +268,6 @@ def check_lemma1(g: Graph, d: Decomposition) -> Lemma1Report:
         raise DecompositionError("decomposition does not cover the graph")
     # Y' is the union of the missed sets, so they are pairwise disjoint iff
     # their sizes add up to |Y'|.
-    injective = sum(popcount(m) for _, m in d.missmap) == popcount(d.Yp)
+    injective = sum(m.bit_count() for _, m in d.missmap) == d.Yp.bit_count()
     return Lemma1Report(tuple((name, prop(g.adj, d)) for name, prop in PROPERTIES),
                         missmap_injective=injective)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -211,6 +212,26 @@ class TestCorpus:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("checks", ["", ","])
+    def test_no_checks_exit_1(self, capsys, checks):
+        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--checks", checks)
+        assert code == 1
+        assert out == ""
+        assert "no checks given; valid: ('bound', 'lemma1', 'lemma2', 'oracle')" in err
+
+    # The sha256 of each campaign's stdout: a report must stay byte-identical
+    # across refactors and worker counts.
+    @pytest.mark.parametrize("argv, digest", [
+        (("exhaustive", "6", "--checks", "bound,lemma1,lemma2,oracle", "--jobs", "2"),
+         "0456bc82baf9e81e698a8fb3e2aeae15cefbe334bbafe4728576f765840c4b4e"),
+        (("sample", "10", "1000", "42", "--checks", "bound,lemma2"),
+         "9796b5b7d34a711493a2524891ac3d3db402e7d9ce8572e818d626eb4d716812"),
+    ])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "corpus", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

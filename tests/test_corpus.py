@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chibound.constructions import extremal_omega5
-from chibound.corpus import (CorpusReport, enumerate_class,
+from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
                              exhaustive_population, explicit_population,
                              iter_all_graphs, run_verification, sample_class,
                              sample_population)
@@ -125,6 +125,11 @@ class TestRunVerification:
             with pytest.raises(ValueError):
                 run_verification(exhaustive_population(3), checks=(check,))
 
+    def test_no_checks_rejected(self):
+        with pytest.raises(ValueError, match="no checks given") as exc:
+            run_verification(exhaustive_population(3), checks=())
+        assert str(VALID_CHECKS) in str(exc.value)
+
     def test_report_json_shape(self):
         report = run_verification(exhaustive_population(4),
                                   checks=("bound", "oracle"))
@@ -133,6 +138,22 @@ class TestRunVerification:
         assert set(d) == {"population", "checks", "graphs", "members",
                           "disconnected_members", "omega_histogram",
                           "oracle", "violations"}
+
+    def test_population_blocks(self):
+        # Key order is part of the byte-identical report.
+        sample = run_verification(sample_population(9, 200, 5)).to_json()
+        assert list(json.loads(sample)["population"].items()) == [
+            ("mode", "sample"), ("n", 9), ("count", 200), ("seed", 5)]
+        explicit = explicit_population([complete_graph(3), cycle_graph(5)])
+        d = json.loads(run_verification(explicit).to_json())
+        assert list(d["population"].items()) == [
+            ("mode", "explicit"), ("n", 5), ("count", 2)]
+
+    def test_population_runs_twice(self):
+        pop = explicit_population([complete_graph(3), cycle_graph(5), extremal_omega5()])
+        first = run_verification(pop, checks=VALID_CHECKS).to_json()
+        assert json.loads(first)["graphs"] == 3
+        assert run_verification(pop, checks=VALID_CHECKS).to_json() == first
 
     def test_jobs_do_not_change_report(self):
         pop = sample_population(9, 200, 5)
