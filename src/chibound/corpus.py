@@ -81,14 +81,21 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     seed; gives up if the sustained rejection rate exceeds 99.9%.
     """
     _check_sample_size(n, count)
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     base_pairs = _pair_bits(n)
+    # random.shuffle's Fisher-Yates on getrandbits, inlined: the same draws,
+    # so the same stream as rng.shuffle(pairs) for a seed.
+    swaps = [(i, (i + 1).bit_length()) for i in range(len(base_pairs) - 1, 0, -1)]
     emitted = 0
     attempts = 0
     window_accepts = 0
     while emitted < count:
         pairs = base_pairs[:]
-        rng.shuffle(pairs)
+        for i, width in swaps:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            pairs[i], pairs[j] = pairs[j], pairs[i]
         comp = [0] * n
         for u, v in pairs:
             if not comp[u] & comp[v]:  # no common neighbor: stays triangle-free

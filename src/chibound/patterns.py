@@ -3,9 +3,18 @@
 The class is defined by two forbidden induced subgraphs: the independent
 triple, and the 5-vertex pattern obtained by joining two isolated vertices
 to (an edge plus an isolated vertex).  A graph is a member iff it contains
-neither.  ``complement_oracle_check`` re-decides membership on the
-complement only (triangle search plus induced edge-plus-path search) and is
-used as an independent cross-check of the direct finders.
+neither.  There are three routes to a verdict:
+
+- ``check_membership`` searches for induced copies and returns the
+  lexicographically smallest witness (``find_3K1``, then
+  ``find_forbidden_5pattern``);
+- ``is_class_member`` counts, for each non-adjacent pair, the vertices of
+  their common neighbourhood that each of its members misses, and builds no
+  witness; it is the fast path that campaigns, the sampler and
+  ``structure.decompose`` call;
+- ``complement_oracle_check`` re-decides membership on the complement only
+  (triangle search plus induced edge-plus-path search) and is the
+  independent cross-check of the other two.
 """
 from __future__ import annotations
 
@@ -118,7 +127,35 @@ def check_membership(g: Graph) -> Optional[PatternWitness]:
 
 
 def is_class_member(g: Graph) -> bool:
-    return find_3K1(g) is None and next(_iter_5pattern_roles(g), None) is None
+    """Membership verdict from one pass over the non-adjacent pairs u1 < u2.
+
+    A common non-neighbour of u1 and u2 is a 3K1.  Otherwise let C be their
+    common neighbourhood: a c in C that misses two vertices a, b of C
+    excludes g, since {u1, u2, a, b, c} is the 5-pattern if ab is an edge
+    and {a, b, c} is a 3K1 if not.  Every 3K1 contains a non-adjacent pair
+    with a common non-neighbour, and every 5-pattern is caught at its pair
+    {u1, u2}, so nothing is missed.  No witness is built.
+    """
+    full = g.full_mask
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    for u1 in range(g.n - 1):
+        c1 = closed[u1]
+        later = full & ~c1 & ~((1 << (u1 + 1)) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            c2 = closed[low.bit_length() - 1]
+            if full & ~(c1 | c2):
+                return False
+            common = c1 & c2
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                miss = common & ~closed[low.bit_length() - 1]
+                if miss & (miss - 1):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

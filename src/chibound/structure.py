@@ -17,7 +17,7 @@ from typing import Optional
 
 from .graphs import Graph, bits
 from .invariants import max_clique
-from .patterns import check_membership
+from .patterns import check_membership, is_class_member
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -124,11 +124,10 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
         raise DecompositionError(f"invalid pair ({v},{w})")
     if g.has_edge(v, w):
         raise DecompositionError(f"({v},{w}) is an edge; a non-edge is required")
-    if check_class:
-        witness = check_membership(g)
-        if witness is not None:
-            raise NotInClassError(
-                f"graph is not in the class: {witness.kind} on {witness.vertices}")
+    if check_class and not is_class_member(g):
+        witness = check_membership(g)  # only to name the excluding witness
+        raise NotInClassError(
+            f"graph is not in the class: {witness.kind} on {witness.vertices}")
     pair_mask = (1 << v) | (1 << w)
     a = g.adj[v] & g.adj[w]
     b = g.adj[v] & ~g.adj[w] & ~pair_mask

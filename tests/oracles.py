@@ -128,3 +128,22 @@ def petersen() -> Graph:
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     return from_edges(10, edges)
+
+
+def triangle_free_complement(n: int, rng: random.Random) -> Graph:
+    """Complement of a random maximal triangle-free graph on n vertices.
+
+    The pairs (u, v), u < v, listed by v then u, are put in
+    ``rng.shuffle`` order, and each is kept when its ends have no common
+    neighbour yet.  This is the sampler's candidate: it never contains an
+    independent triple.
+    """
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    rng.shuffle(pairs)
+    nbrs = [0] * n
+    for u, v in pairs:
+        if not nbrs[u] & nbrs[v]:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+    return from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                          if not nbrs[u] >> v & 1])

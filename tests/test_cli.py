@@ -227,6 +227,8 @@ class TestCorpus:
          "0456bc82baf9e81e698a8fb3e2aeae15cefbe334bbafe4728576f765840c4b4e"),
         (("sample", "10", "1000", "42", "--checks", "bound,lemma2"),
          "9796b5b7d34a711493a2524891ac3d3db402e7d9ce8572e818d626eb4d716812"),
+        (("sample", "14", "2000", "42", "--checks", "bound,lemma2"),
+         "1be9cedc39d2a1a3a0d02553c0ef1462086a54f42e9f713dd981eb4daf7870ed"),
     ])
     def test_report_bytes_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "corpus", *argv)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,9 @@ from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
                              sample_population)
 from chibound.graphs import complete_graph, empty_graph, from_edges, join, serialize_graph6
 from chibound.invariants import clique_number
-from chibound.patterns import complement_oracle_check, is_class_member
+from chibound.patterns import (check_membership, complement_oracle_check,
+                               is_class_member)
+from oracles import triangle_free_complement
 
 # Locked regression fixture from the first verified run.
 SAMPLE_N10_SEED42_OMEGA_HIST = {4: 54, 5: 798, 6: 142, 7: 6}
@@ -71,6 +74,19 @@ class TestSample:
             om = clique_number(g)
             hist[om] = hist.get(om, 0) + 1
         assert hist == SAMPLE_N10_SEED42_OMEGA_HIST
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    @pytest.mark.parametrize("seed", [0, 42, 2026])
+    def test_stream_matches_stdlib_shuffle(self, n, seed):
+        # The sampler inlines random.shuffle; the stdlib call plus the
+        # witness search is the reference for every sampled stream.
+        rng = random.Random(seed)
+        expected = []
+        while len(expected) < 200:
+            g = triangle_free_complement(n, rng)
+            if check_membership(g) is None:
+                expected.append(g)
+        assert list(sample_class(n, 200, seed)) == expected
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

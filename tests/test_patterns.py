@@ -10,7 +10,8 @@ from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
                                find_3K1, find_forbidden_5pattern,
                                is_class_member, witness_is_valid)
 from chibound.corpus import iter_all_graphs
-from oracles import bf_has_5pattern, bf_independent_triple, petersen, random_graph
+from oracles import (bf_has_5pattern, bf_independent_triple, petersen,
+                     random_graph, triangle_free_complement)
 
 
 def cycle_graph(k):
@@ -103,12 +104,27 @@ class TestMembership:
         for n in range(0, 7):
             for g in iter_all_graphs(n):
                 assert is_class_member(g) == complement_oracle_check(g)
+                assert is_class_member(g) == (check_membership(g) is None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(8, 14), st.randoms(use_true_random=False))
     def test_oracle_random_larger(self, n, rng):
         g = random_graph(n, rng.choice([0.5, 0.7, 0.85]), rng)
         assert is_class_member(g) == complement_oracle_check(g)
+        assert is_class_member(g) == (check_membership(g) is None)
+
+    def test_sampler_candidates(self):
+        # No 3K1 here, so only is_class_member's common-neighbourhood
+        # counting step can exclude these; from n = 11 on, most are
+        # excluded by a 5-pattern.
+        verdicts = []
+        for seed in range(360):
+            g = triangle_free_complement(8 + seed % 9, random.Random(seed))
+            member = is_class_member(g)
+            assert member == (check_membership(g) is None), seed
+            assert member == complement_oracle_check(g), seed
+            verdicts.append(member)
+        assert min(verdicts.count(True), verdicts.count(False)) > 100
 
     def test_complement_of_c5_is_member(self):
         from chibound.graphs import complement

@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from chibound.constructions import OMEGA5_VERTEX_NAMES, extremal_omega5
 from chibound.corpus import iter_all_graphs
-from chibound.graphs import (bits, complete_graph, from_edges, join, mask_of,
-                             parse_graph6)
+from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
+                             join, mask_of, parse_graph6)
 from chibound.patterns import is_class_member
 from chibound.structure import (FAILS, HOLDS, VACUOUS, DecompositionError,
                                 NotInClassError, all_partitioning_pairs,
@@ -83,8 +84,13 @@ class TestDecompose:
             decompose(cycle_graph(5), 0, 1)
 
     def test_refuses_non_member(self):
-        with pytest.raises(NotInClassError):
+        with pytest.raises(NotInClassError, match=re.escape(
+                "graph is not in the class: ThreeK1 on (0, 2, 4)")):
             decompose(cycle_graph(6), 0, 2)
+        pattern = join(empty_graph(2), from_edges(3, [(0, 1)]))
+        with pytest.raises(NotInClassError, match=re.escape(
+                "graph is not in the class: TwoK1JoinK2K1 on (0, 1, 2, 3, 4)")):
+            decompose(pattern, 0, 1)
 
     def test_deterministic(self):
         g = extremal_omega5()
