@@ -1,7 +1,7 @@
 """Verification toolkit for the hereditary graph class defined by forbidding
 an independent triple and the join of two isolated vertices with an edge
 plus a vertex: membership tests, exact invariants, structural decomposition,
-extremal families, and corpus verification campaigns."""
+in-class extremal witnesses, and corpus verification campaigns."""
 
 from .graphs import (Graph, GraphFormatError, complement, complete_graph,
                      connected_components, disjoint_union, empty_graph,
@@ -16,8 +16,8 @@ from .invariants import (InvariantReport, bound_f, chi_via_matching,
                          max_clique, max_matching)
 from .structure import (Decomposition, Lemma1Report, check_lemma1,
                         choose_partitioning_pair, decompose)
-from .constructions import (cycle, extremal_even, extremal_odd,
-                            extremal_omega5, wheel6)
+from .constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,
+                            extremal_witnesses, wheel6)
 from .corpus import (CorpusReport, enumerate_class, exhaustive_population,
                      explicit_population, run_verification, sample_class,
                      sample_population)

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from .constructions import (cycle, extremal_even, extremal_odd,
-                            extremal_omega5, wheel6)
+from .constructions import (cycle, extremal_omega5, extremal_witnesses,
+                            wheel6)
 from .corpus import (VALID_CHECKS, exhaustive_population, run_verification,
                      sample_population)
 from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
@@ -33,7 +33,7 @@ class CliError(Exception):
     pass
 
 
-_FAILURES = (CliError, ValueError, RuntimeError)  # every input error subclasses one
+_FAILURES = (CliError, ValueError, RuntimeError, OSError)  # input and file errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,22 +91,19 @@ def cmd_per_graph(args) -> int:
     return status
 
 
-_GENERATORS = {"c5": lambda: cycle(5), "w6": wheel6, "even": extremal_even,
-               "odd": extremal_odd, "omega5": extremal_omega5}
-_SIZED = ("even", "odd")  # the families whose generator takes a parameter
+_GENERATORS = {"c5": lambda: [cycle(5)], "w6": lambda: [wheel6()],
+               "omega5": lambda: [extremal_omega5()],
+               "extremal": extremal_witnesses}
 
 
 def cmd_gen(args) -> int:
-    sized = args.family in _SIZED
-    if sized == (args.param is None):
-        raise CliError(f"gen {args.family} takes {'one' if sized else 'no'} parameter")
-    g = _GENERATORS[args.family](*((args.param,) if sized else ()))
-    line = serialize_graph6(g)
-    if args.verify:
-        print(json.dumps({"graph6": line,
-                          "report": compute_invariants(g).to_json_dict()}))
-    else:
-        print(line)
+    for g in _GENERATORS[args.family]():
+        line = serialize_graph6(g)
+        if args.verify:
+            print(json.dumps({"graph6": line,
+                              "report": compute_invariants(g).to_json_dict()}))
+        else:
+            print(line)
     return EXIT_OK
 
 
@@ -120,12 +117,11 @@ def cmd_corpus(args) -> int:
             raise CliError("corpus sample takes: n count seed")
         population = sample_population(*args.params)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    report = run_verification(population, checks, jobs=args.jobs)
-    print(report.to_json())
-    if args.dump_violations:
-        with open(args.dump_violations, "w") as fh:
-            for cert in report.violations:
-                fh.write(cert["graph6"] + "\n")
+    # Opened first, so that an unwritable path fails before the campaign runs.
+    with open(args.dump_violations or os.devnull, "w") as dump:
+        report = run_verification(population, checks, jobs=args.jobs)
+        print(report.to_json())
+        dump.writelines(cert["graph6"] + "\n" for cert in report.violations)
     return EXIT_VIOLATION if report.has_violations else EXIT_OK
 
 
@@ -141,7 +137,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="chibound",
                      description="Toolkit for a hereditary graph class: "
                                  "membership, invariants, decomposition, "
-                                 "extremal families, verification corpora.")
+                                 "extremal witnesses, verification corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_per_graph(name, answer, help):
@@ -166,9 +162,8 @@ def build_parser() -> _Parser:
                       "decomposition and structural property report")
     p.add_argument("--pair", nargs=2, type=int, metavar=("V", "W"))
 
-    p = sub.add_parser("gen", help="emit a generator's graph6 line")
+    p = sub.add_parser("gen", help="emit a generator's graph6 lines")
     p.add_argument("family", choices=sorted(_GENERATORS))
-    p.add_argument("param", nargs="?", type=int)
     p.add_argument("--verify", action="store_true",
                    help="attach a full invariant report")
     p.set_defaults(func=cmd_gen)
@@ -193,13 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except _FAILURES as exc:
-        print(f"chibound: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it must come before _FAILURES
         # The reader closed stdout.  Point it at devnull so that the flush
         # at interpreter exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    except _FAILURES as exc:
+        print(f"chibound: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -1,16 +1,15 @@
-"""Generators for the extremal families and standard building blocks.
+"""Generators for the building blocks and the extremal witnesses.
 
 Every generator self-verifies against the exact solvers (clique number,
 matching-based chi, class membership) and raises ConstructionError on any
-mismatch, so a misreading of a family definition fails loudly rather than
-silently skewing a corpus.
+mismatch, so a misread definition or a corrupted table entry fails loudly
+rather than silently skewing a corpus.
 """
 from __future__ import annotations
 
-from functools import reduce
-
-from .graphs import Graph, MAX_VERTICES, from_edges, join
-from .invariants import chi_via_matching, clique_number
+from .graphs import (Graph, MAX_VERTICES, complete_graph, from_edges, join,
+                     parse_graph6)
+from .invariants import bound_f, chi_via_matching, clique_number
 from .patterns import is_class_member
 
 
@@ -26,66 +25,47 @@ def cycle(k: int) -> Graph:
     return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def single_vertex() -> Graph:
-    return from_edges(1, [])
-
-
 def wheel6() -> Graph:
     """The 6-vertex wheel: a hub joined to a 5-cycle."""
-    return join(single_vertex(), cycle(5))
+    return join(complete_graph(1), cycle(5))
 
 
-def _verify(g: Graph, omega: int, chi: int, family: str,
-            expect_member: bool = True) -> Graph:
+def _verify(g: Graph, omega: int, chi: int, family: str) -> Graph:
     got_omega = clique_number(g)
     if got_omega != omega:
         raise ConstructionError(
             f"{family}: clique number {got_omega}, expected {omega}")
-    # chi_via_matching raises if the graph has an independent triple, so
-    # this doubles as a check that joins of pentagons stay triple-free.
     got_chi, _ = chi_via_matching(g)
     if got_chi != chi:
         raise ConstructionError(
             f"{family}: chromatic number {got_chi}, expected {chi}")
-    if expect_member and not is_class_member(g):
+    if not is_class_member(g):
         raise ConstructionError(f"{family}: output left the class")
     return g
 
 
-def extremal_even(r: int) -> Graph:
-    """Join of r pentagons: clique number 2r, chromatic number 3r.
+# One class member with chi = f(omega) for each omega = 1..7, in omega order:
+# C5 and the 6-wheel at omega = 2 and 3, and at omega = 5 extremal_omega5()
+# less one vertex.  Adding a universal vertex keeps a graph in the class and
+# adds 1 to omega and chi, so omega = 6 and 7 are the omega = 5 entry plus one
+# and two universal vertices.  Each is of the smallest order an exhaustive
+# search of the members with omega <= 7 found.
+EXTREMAL_GRAPH6 = (
+    "@",
+    "Dhc",
+    "E|fG",
+    "J~[ww]Vu~Q_",
+    r"N~{wI|n\{}TtlfqzYZW",
+    "O~~xwL^Zznr{jtlrxmujZ",
+    r"P~~~x{FVz^m~f{jyu{}\utlk",
+)
 
-    Caveat established computationally: for r >= 2 the join of two
-    pentagons induces the 5-vertex forbidden pattern (independent pair
-    from one factor, edge plus isolated vertex from another), so these
-    graphs realize the bound arithmetic but sit outside the class.  Only
-    r = 1 is a class member.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if 5 * r > MAX_VERTICES:
-        raise ValueError(f"5*{r} exceeds {MAX_VERTICES} vertices")
-    g = reduce(join, [cycle(5)] * r)
-    return _verify(g, 2 * r, 3 * r, f"extremal_even({r})", expect_member=r == 1)
 
-
-def extremal_odd(m: int) -> Graph:
-    """Join of m-1 pentagons with the 6-wheel: clique 2m+1, chi 3m+1.
-
-    The parameter is the target odd clique number (2m+1); chi falls one
-    short of the omega=5 bound at m=2, where tightness is carried by the
-    16-vertex graph instead.  As with the even family, any join involving
-    a pentagon factor induces the 5-vertex forbidden pattern, so only
-    m = 1 (the bare 6-wheel) is a class member.
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    n = 5 * (m - 1) + 6
-    if n > MAX_VERTICES:
-        raise ValueError(f"{n} exceeds {MAX_VERTICES} vertices")
-    g = reduce(join, [cycle(5)] * (m - 1) + [wheel6()])
-    return _verify(g, 2 * m + 1, 3 * m + 1, f"extremal_odd({m})",
-                   expect_member=m == 1)
+def extremal_witnesses() -> list[Graph]:
+    """EXTREMAL_GRAPH6 parsed, each entry verified as a member with chi = f(omega)."""
+    return [_verify(parse_graph6(line), omega, bound_f(omega),
+                    f"extremal witness for omega={omega}")
+            for omega, line in enumerate(EXTREMAL_GRAPH6, start=1)]
 
 
 # Non-adjacency table of the 16-vertex graph with clique number 5 and

@@ -6,14 +6,14 @@ session; the whole suite is sized for minutes of single-core runtime.
 """
 import pytest
 
-from chibound.constructions import (extremal_even, extremal_odd,
-                                    extremal_omega5, wheel6)
+from chibound.constructions import extremal_omega5, extremal_witnesses
 from chibound.corpus import (enumerate_class, exhaustive_population,
                              run_verification, sample_class,
                              sample_population)
 from chibound.graphs import parse_graph6, serialize_graph6
-from chibound.invariants import chi_via_matching, chromatic_exact, clique_number
-from chibound.patterns import find_3K1
+from chibound.invariants import (bound_f, chi_via_matching, chromatic_exact,
+                                 clique_number)
+from chibound.patterns import complement_oracle_check, find_3K1, is_class_member
 
 EXHAUSTIVE_MAX_N = 7
 SAMPLE_COUNT = 100_000
@@ -21,6 +21,12 @@ SAMPLE_SEED = 42
 SAMPLE_RANGE = range(8, 15)
 # Labeled graphs on 1..7 vertices without an independent triple.
 TRIPLE_FREE_GRAPHS_UP_TO_7 = 139_729
+# Partitioning pairs of the members on 1..7 vertices: 9,040 for n <= 6 and
+# 107,352 at n = 7.
+PARTITIONING_PAIRS_UP_TO_7 = 116_392
+# Connected omega = 3 members on 1..7 vertices: 2,146 for n <= 6 and 6,930
+# at n = 7.
+LEMMA2_SCOPE_UP_TO_7 = 9_076
 
 
 def announce(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -120,28 +126,25 @@ def test_criterion_4_lemma1_suite(exhaustive_reports):
         for counts in report.lemma1["properties"].values():
             assert sum(counts.values()) == report_pairs
             fails += counts["fails"]
+    assert pairs == PARTITIONING_PAIRS_UP_TO_7
     announce(4, "structural properties 1.1-1.7 over all partitioning pairs",
              fails == 0, f"{pairs} pairs, {fails} property failures")
 
 
 def test_criterion_5_extremal_tightness():
     problems = []
-    for r in (1, 2, 3):
-        g = extremal_even(r)
-        got = (clique_number(g), chi_via_matching(g)[0])
-        if got != (2 * r, 3 * r):
-            problems.append(f"even({r}) -> {got}")
-    for m in (1, 3):
-        g = extremal_odd(m)
-        got = (clique_number(g), chi_via_matching(g)[0])
-        if got != (2 * m + 1, 3 * m + 1):
-            problems.append(f"odd({m}) -> {got}")
+    for omega, g in enumerate(extremal_witnesses(), start=1):
+        f = bound_f(omega)
+        got = (is_class_member(g), complement_oracle_check(g), clique_number(g),
+               chi_via_matching(g)[0], chromatic_exact(g)[0])
+        if got != (True, True, omega, f, f):
+            problems.append(f"omega={omega} -> {got}")
     g = extremal_omega5()
     regular = all(g.degree(v) == 10 for v in range(g.n))
     got = (g.n, clique_number(g), chi_via_matching(g)[0])
     if not regular or got != (16, 5, 8):
         problems.append(f"omega5 -> {got}, 10-regular={regular}")
-    announce(5, "extremal families hit their stated (omega, chi)",
+    announce(5, "in-class members with chi = f(omega) for omega = 1..7",
              not problems, "; ".join(problems))
 
 
@@ -152,6 +155,8 @@ def test_criterion_6_low_clique_scope(exhaustive_reports, sample_reports):
         if report.lemma2:
             checked += report.lemma2["checked"]
         bad.extend(v for v in report.violations if v["check"] == "lemma2")
+    exhaustive = sum(r.lemma2["checked"] for r in exhaustive_reports.values())
+    assert exhaustive == LEMMA2_SCOPE_UP_TO_7
     announce(6, "connected members with omega=3 have delta<=5, n<=8, chi<=4",
              not bad, f"{checked} members in scope, {len(bad)} violations")
 
@@ -159,9 +164,7 @@ def test_criterion_6_low_clique_scope(exhaustive_reports, sample_reports):
 def test_criterion_7_format_fidelity():
     checked = 0
     bad = 0
-    generators = [extremal_even(1), extremal_even(2), extremal_even(3),
-                  extremal_odd(1), extremal_odd(2), extremal_odd(3),
-                  extremal_omega5(), wheel6()]
+    generators = extremal_witnesses() + [extremal_omega5()]
     for g in generators:
         checked += 1
         if parse_graph6(serialize_graph6(g)) != g:

@@ -161,21 +161,40 @@ class TestGen:
         r = d["report"]
         assert (r["n"], r["omega"], r["chi"], r["tight"]) == (16, 5, 8, True)
 
-    def test_even_requires_param(self, capsys):
-        code, out, err = run(capsys, "gen", "even")
-        assert code == 1
+    def test_every_family_stays_in_class(self, capsys, monkeypatch):
+        for family in cli._GENERATORS:
+            code, out, err = run(capsys, "gen", family)
+            assert code == 0
+            code, out, err = run(capsys, "check", "-", stdin=out,
+                                 monkeypatch=monkeypatch)
+            assert code == 0
+            assert all(json.loads(line)["member"] for line in out.splitlines())
+
+    def test_extremal_tight_for_omega_1_to_7(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "gen", "extremal")
+        assert code == 0
+        code, out, err = run(capsys, "invariants", "-", stdin=out,
+                             monkeypatch=monkeypatch)
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["omega"] for r in reports] == list(range(1, 8))
+        assert all(r["tight"] for r in reports)
 
     @pytest.mark.parametrize("family, param", [("c5", "7"), ("omega5", "3")])
     def test_parameter_rejected(self, capsys, family, param):
-        code, out, err = run(capsys, "gen", family, param)
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", family, param])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
         assert out == ""
-        assert f"gen {family} takes no parameter" in err
+        assert f"unrecognized arguments: {param}" in err
 
-    def test_even_two(self, capsys):
-        code, out, err = run(capsys, "gen", "even", "2")
-        assert code == 0
-        assert len(out.strip()) > 0
+    @pytest.mark.parametrize("family", ["even", "odd"])
+    def test_pentagon_join_families_gone(self, capsys, family):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", family, "2"])
+        assert exc.value.code == 1
+        assert f"invalid choice: '{family}'" in capsys.readouterr().err
 
 
 class TestCorpus:
@@ -234,6 +253,24 @@ class TestCorpus:
         code, out, err = run(capsys, "corpus", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_unwritable_dump_fails_before_campaign(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+        path = tmp_path / "no" / "such" / "x.g6"
+        code, out, err = run(capsys, "corpus", "exhaustive", "3",
+                             "--dump-violations", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("chibound: error: ") and str(path) in err
+        assert calls == []
+
+    def test_dump_without_violations_is_empty(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        code, out, err = run(capsys, "corpus", "exhaustive", "4",
+                             "--dump-violations", str(path))
+        assert code == 0
+        assert path.read_text() == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

@@ -1,8 +1,9 @@
 import pytest
 
-from chibound.constructions import (cycle, extremal_even,
-                                    extremal_odd, extremal_omega5, wheel6)
-from chibound.graphs import complete_graph, serialize_graph6
+from chibound.constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,
+                                    extremal_witnesses, wheel6)
+from chibound.graphs import (complete_graph, induced_subgraph, parse_graph6,
+                             serialize_graph6)
 from chibound.invariants import bound_f, chi_via_matching, clique_number
 from chibound.patterns import check_membership, is_class_member
 
@@ -36,50 +37,36 @@ class TestBuildingBlocks:
         assert is_class_member(g)
 
 
-class TestExtremalEven:
-    @pytest.mark.parametrize("r,omega,chi", [(1, 2, 3), (2, 4, 6), (3, 6, 9)])
-    def test_invariants(self, r, omega, chi):
-        g = extremal_even(r)
-        assert g.n == 5 * r
+class TestExtremalWitnesses:
+    @pytest.mark.parametrize("omega", range(1, 8))
+    def test_tight_member(self, omega):
+        g = extremal_witnesses()[omega - 1]
+        assert serialize_graph6(g) == EXTREMAL_GRAPH6[omega - 1]
         assert clique_number(g) == omega
-        assert chi_via_matching(g)[0] == chi
+        assert chi_via_matching(g)[0] == bound_f(omega)
+        assert check_membership(g) is None
 
-    def test_r2_tight_for_bound(self):
-        assert chi_via_matching(extremal_even(2))[0] == bound_f(4) == 6
+    def test_pentagon_and_wheel(self):
+        assert EXTREMAL_GRAPH6[1] == serialize_graph6(cycle(5))
+        assert EXTREMAL_GRAPH6[2] == serialize_graph6(wheel6())
 
-    def test_r1_is_member(self):
-        assert is_class_member(extremal_even(1))
+    @pytest.mark.parametrize("omega, universal", [(3, 1), (6, 1), (7, 2)])
+    def test_universal_vertices_over_lower_entry(self, omega, universal):
+        # Without its universal vertices the entry is the tight member
+        # `universal` omegas lower: C5 under the wheel, the n = 15 omega = 5
+        # graph under the omega = 6 and 7 entries.
+        g = parse_graph6(EXTREMAL_GRAPH6[omega - 1])
+        apexes = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+        assert len(apexes) == universal
+        rest = g.full_mask & ~sum(1 << v for v in apexes)
+        assert serialize_graph6(induced_subgraph(g, rest)) == \
+            EXTREMAL_GRAPH6[omega - 1 - universal]
 
-    def test_r2_leaves_class(self):
-        # The join of two pentagons induces the 5-vertex pattern; the
-        # family realizes the bound arithmetic but not class membership.
-        w = check_membership(extremal_even(2))
-        assert w is not None and w.kind == "TwoK1JoinK2K1"
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            extremal_even(0)
-        with pytest.raises(ValueError):
-            extremal_even(13)
-
-
-class TestExtremalOdd:
-    @pytest.mark.parametrize("m,omega,chi", [(1, 3, 4), (2, 5, 7), (3, 7, 10)])
-    def test_invariants(self, m, omega, chi):
-        g = extremal_odd(m)
-        assert g.n == 5 * (m - 1) + 6
-        assert clique_number(g) == omega
-        assert chi_via_matching(g)[0] == chi
-
-    def test_tightness_pattern(self):
-        assert chi_via_matching(extremal_odd(1))[0] == bound_f(3) == 4
-        assert chi_via_matching(extremal_odd(3))[0] == bound_f(7) == 10
-        # m=2 reaches 7 < f(5) = 8: omega=5 tightness belongs to the
-        # 16-vertex table graph.
-        assert chi_via_matching(extremal_odd(2))[0] == 7 < bound_f(5)
-
-    def test_m1_is_member(self):
-        assert is_class_member(extremal_odd(1))
+    def test_omega5_graph_less_any_vertex_stays_tight(self):
+        g = extremal_omega5()
+        for v in range(g.n):
+            h = induced_subgraph(g, g.full_mask & ~(1 << v))
+            assert (h.n, clique_number(h), chi_via_matching(h)[0]) == (15, 5, 8)
 
 
 class TestOmega5Graph:
