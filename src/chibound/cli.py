@@ -16,7 +16,7 @@ import sys
 from .constructions import (cycle, extremal_omega5, extremal_witnesses,
                             wheel6)
 from .corpus import (VALID_CHECKS, exhaustive_population, run_verification,
-                     sample_population)
+                     sample_population, validate_checks)
 from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
 from .invariants import compute_invariants
 from .patterns import check_membership
@@ -116,8 +116,10 @@ def cmd_corpus(args) -> int:
         if len(args.params) != 3:
             raise CliError("corpus sample takes: n count seed")
         population = sample_population(*args.params)
-    checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    # Opened first, so that an unwritable path fails before the campaign runs.
+    checks = validate_checks(c.strip() for c in args.checks.split(",") if c.strip())
+    # Opened after every argument is checked, so that a rejected command
+    # leaves no file behind, and before the campaign, so that an unwritable
+    # path fails before it runs.
     with open(args.dump_violations or os.devnull, "w") as dump:
         report = run_verification(population, checks, jobs=args.jobs)
         print(report.to_json())

@@ -44,15 +44,58 @@ def _pair_bits(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
+EDGE_MASK_MAX_N = 8  # one byte per packed adjacency row
+
+# The tables of the last (n, pairs) seen: (n, that pairs list, a copy of its
+# contents, per-byte tables, 2 ** len(pairs)).  One tuple, replaced whole.
+_edge_memo: tuple = (-1, None, None, (), 1)
+
+
+def _load_edge_tables(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple, int]:
+    """Per-byte tables for graph_from_edge_mask, and its mask limit.
+
+    ``tables[k][b]`` is the packed adjacency -- row v in byte v -- of the
+    edges pairs[8k + i] for the set bits i of the byte value b.  The tables
+    belong to the *contents* of pairs: a caller may edit its list in place,
+    so the memo keeps a copy to compare on every call.  An equal list that
+    arrives keeps the tables and is copied afresh, so that the next
+    comparisons meet the same pair objects and stay pointer checks.
+    """
+    global _edge_memo
+    snapshot = list(pairs)
+    memo_n, _, memo_pairs, tables, limit = _edge_memo
+    if n != memo_n or snapshot != memo_pairs:
+        if not 0 <= n <= EDGE_MASK_MAX_N:
+            raise ValueError(f"edge-mask graphs support 0 <= n <= "
+                             f"{EDGE_MASK_MAX_N}, got n={n}")
+        for u, v in snapshot:
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
+        edges = [1 << (8 * u + v) | 1 << (8 * v + u) for u, v in snapshot]
+        built = []
+        for k in range(0, len(edges), 8):
+            table = [0]
+            for e in edges[k:k + 8]:
+                table += [t | e for t in table]
+            built.append(tuple(table))
+        tables, limit = tuple(built), 1 << len(edges)
+    _edge_memo = (n, pairs, snapshot, tables, limit)
+    return tables, limit
+
+
 def graph_from_edge_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
-    adj = [0] * n
-    while mask:
-        low = mask & -mask
-        u, v = pairs[low.bit_length() - 1]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        mask ^= low
-    return Graph(n, tuple(adj))
+    """The graph on n <= 8 vertices with the edges pairs[i] for the set bits
+    i of mask."""
+    memo_n, source, snapshot, tables, limit = _edge_memo
+    if n != memo_n or pairs is not source or snapshot != pairs:
+        tables, limit = _load_edge_tables(n, pairs)
+    if not 0 <= mask < limit:
+        raise ValueError(f"edge mask {mask} outside [0, 2**{len(pairs)})")
+    packed = 0
+    for table in tables:
+        packed |= table[mask & 255]
+        mask >>= 8
+    return Graph(n, tuple(packed.to_bytes(n, "little")))
 
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
@@ -324,16 +367,23 @@ def _chunked(stream: Iterator[Graph], size: int) -> Iterator[tuple[Graph, ...]]:
         yield tuple(chunk)
 
 
-def run_verification(population: Population,
-                     checks: Iterable[str] = ("bound",),
-                     jobs: int = 1,
-                     chunk_size: int = 4096) -> CorpusReport:
+def validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
+    """The requested checks in first-seen order, without repeats; raises
+    ValueError if there are none or one is not in VALID_CHECKS."""
     checks_t = tuple(dict.fromkeys(checks))
     if not checks_t:
         raise ValueError(f"no checks given; valid: {VALID_CHECKS}")
     for c in checks_t:
         if c not in VALID_CHECKS:
             raise ValueError(f"unknown check {c!r}; valid: {VALID_CHECKS}")
+    return checks_t
+
+
+def run_verification(population: Population,
+                     checks: Iterable[str] = ("bound",),
+                     jobs: int = 1,
+                     chunk_size: int = 4096) -> CorpusReport:
+    checks_t = validate_checks(checks)
     total = CorpusReport(population.descriptor(), checks_t)
     tasks = ((chunk, checks_t) for chunk in _chunked(population.stream(), chunk_size))
     with contextlib.ExitStack() as stack:

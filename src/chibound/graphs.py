@@ -7,7 +7,7 @@ graphs, so they are safe to share between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_VERTICES = 64
 
@@ -16,12 +16,36 @@ class GraphFormatError(ValueError):
     """Malformed graph6 or DIMACS input."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the set bit positions of the byte value b at byte k."""
+    table: list[tuple[int, ...]] = [()]
+    for i in range(8 * k, 8 * k + 8):
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+_BYTE_BITS = tuple(_byte_table(k) for k in range(MAX_VERTICES // 8))
+_LOW_BYTE_BITS = _BYTE_BITS[0]
+_MASK_LIMIT = 1 << MAX_VERTICES
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in ascending order.
+
+    Raises ValueError unless 0 <= mask < 2**64: a vertex set of a graph on at
+    most 64 vertices.
+    """
+    if 0 <= mask < 256:
+        return _LOW_BYTE_BITS[mask]
+    if not 0 <= mask < _MASK_LIMIT:
+        raise ValueError(f"vertex mask {mask} outside [0, 2**{MAX_VERTICES})")
+    out = ()
+    for table in _BYTE_BITS:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -103,9 +127,14 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def complement(g: Graph) -> Graph:
+def complement_rows(g: Graph) -> list[int]:
+    """The adjacency rows of the complement of g, without building a Graph."""
     full = g.full_mask
-    return Graph(g.n, tuple((full ^ (1 << v)) & ~g.adj[v] for v in range(g.n)))
+    return [(full ^ (1 << v)) & ~a for v, a in enumerate(g.adj)]
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, tuple(complement_rows(g)))
 
 
 def join(g: Graph, h: Graph) -> Graph:

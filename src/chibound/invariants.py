@@ -95,11 +95,14 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     return colors
 
 
-def chromatic_exact(g: Graph) -> tuple[int, tuple[int, ...]]:
+def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
+                    ) -> tuple[int, tuple[int, ...]]:
     """Exact chi with a proper coloring witness.
 
-    Raises ExactLimitError beyond ``DEFAULT_EXACT_LIMIT`` vertices; for class
-    members chi_via_matching remains available at any size.
+    ``clique`` is ``max_clique(g)`` when the caller already has it; it is
+    computed when not given, with the same result.  Raises ExactLimitError
+    beyond ``DEFAULT_EXACT_LIMIT`` vertices; for class members
+    chi_via_matching remains available at any size.
     """
     if g.n > DEFAULT_EXACT_LIMIT:
         raise ExactLimitError(
@@ -108,7 +111,7 @@ def chromatic_exact(g: Graph) -> tuple[int, tuple[int, ...]]:
     n = g.n
     if n == 0:
         return 0, ()
-    omega, clique = max_clique(g)
+    omega, clique = max_clique(g) if clique is None else clique
     greedy = _dsatur_greedy(g)
     best_k = max(greedy) + 1
     best = list(greedy)
@@ -310,7 +313,7 @@ def compute_invariants(g: Graph, engine: str = "auto") -> InvariantReport:
     if engine == "matching" or (engine == "auto" and find_3K1(g) is None):
         chi, coloring = chi_via_matching(g)
     elif engine in ("exact", "auto"):
-        chi, coloring = chromatic_exact(g)
+        chi, coloring = chromatic_exact(g, (omega, clique))
     else:
         raise ValueError(f"unknown chi engine {engine!r}")
     bound = bound_f(omega) if omega >= 1 else 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits, complement_rows
 
 THREE_K1 = "ThreeK1"
 TWO_K1_JOIN_K2_K1 = "TwoK1JoinK2K1"
@@ -167,37 +167,34 @@ def is_class_member(g: Graph) -> bool:
 # {u1,u2,a,b,c} has exactly the edges u1u2, ac, bc -- an edge disjoint from
 # an induced 3-vertex path centered at c.
 
-def _complement_has_triangle(h: Graph) -> bool:
-    adj = h.adj
-    for u in range(h.n):
-        for v in bits(adj[u] & ~((1 << (u + 1)) - 1)):
-            if adj[u] & adj[v]:
+def _has_triangle(h: list[int]) -> bool:
+    for nu in h:
+        for v in bits(nu):
+            if nu & h[v]:
                 return True
     return False
 
 
-def _has_induced_k2_p3(h: Graph) -> bool:
+def _has_induced_k2_p3(h: list[int], full: int) -> bool:
     """Induced (edge) + (3-path) with no edges between the two parts.
 
     Only called on triangle-free graphs, where every 2-edge path is induced.
     """
-    adj = h.adj
-    full = h.full_mask
-    for q in range(h.n):
-        nq = adj[q]
+    for q, nq in enumerate(h):
         for p in bits(nq):
             for r in bits(nq & ~((1 << (p + 1)) - 1)):
-                closed = adj[p] | nq | adj[r] | (1 << p) | (1 << q) | (1 << r)
+                closed = h[p] | nq | h[r] | (1 << p) | (1 << q) | (1 << r)
                 allowed = full & ~closed
                 for x in bits(allowed):
-                    if adj[x] & allowed & ~((1 << (x + 1)) - 1):
+                    if h[x] & allowed & ~((1 << (x + 1)) - 1):
                         return True
     return False
 
 
 def complement_oracle_check(g: Graph) -> bool:
-    """Membership verdict computed only on the complement of g."""
-    h = complement(g)
-    if _complement_has_triangle(h):
+    """Membership verdict computed only on the complement of g, read as
+    adjacency rows."""
+    h = complement_rows(g)
+    if _has_triangle(h):
         return False
-    return not _has_induced_k2_p3(h)
+    return not _has_induced_k2_p3(h, g.full_mask)

@@ -16,6 +16,20 @@ PATTERN_EDGES = frozenset(
     {(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)})
 
 
+def bits_generator(mask: int):
+    """Reference for ``graphs.bits``: yield the set bit positions of a
+    non-negative mask, lowest first, one lowest-set-bit step at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def graph_from_pair_mask(n: int, mask: int, pairs) -> Graph:
+    """The graph with the edges pairs[i] for the set bits i of mask."""
+    return from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

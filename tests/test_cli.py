@@ -265,6 +265,15 @@ class TestCorpus:
         assert err.startswith("chibound: error: ") and str(path) in err
         assert calls == []
 
+    def test_bad_checks_leave_no_dump_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--checks",
+                             "bogus", "--dump-violations", str(path))
+        assert code == 1
+        assert out == ""
+        assert "unknown check 'bogus'" in err
+        assert not path.exists()
+
     def test_dump_without_violations_is_empty(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
         code, out, err = run(capsys, "corpus", "exhaustive", "4",

@@ -6,13 +6,14 @@ import pytest
 from chibound.constructions import extremal_omega5
 from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
                              exhaustive_population, explicit_population,
-                             iter_all_graphs, run_verification, sample_class,
-                             sample_population)
+                             graph_from_edge_mask, iter_all_graphs,
+                             run_verification, sample_class,
+                             sample_population, validate_checks)
 from chibound.graphs import complete_graph, empty_graph, from_edges, join, serialize_graph6
 from chibound.invariants import clique_number
 from chibound.patterns import (check_membership, complement_oracle_check,
                                is_class_member)
-from oracles import triangle_free_complement
+from oracles import graph_from_pair_mask, triangle_free_complement
 
 # Locked regression fixture from the first verified run.
 SAMPLE_N10_SEED42_OMEGA_HIST = {4: 54, 5: 798, 6: 142, 7: 6}
@@ -50,6 +51,62 @@ class TestEnumerate:
             list(enumerate_class(8))
         with pytest.raises(ValueError, match=r"0 <= n <= 7, got n=-1$"):
             next(iter_all_graphs(-1))
+
+
+def pair_list(n):
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
+class TestGraphFromEdgeMask:
+    """The table-driven builder against from_edges."""
+
+    def test_every_mask_up_to_n5(self):
+        for n in range(6):
+            pairs = pair_list(n)
+            for mask in range(1 << len(pairs)):
+                assert graph_from_edge_mask(n, mask, pairs) == \
+                    graph_from_pair_mask(n, mask, pairs), (n, mask)
+
+    def test_seeded_n7_masks_with_permuted_pairs(self):
+        rng = random.Random(7)
+        masks = [rng.getrandbits(21) for _ in range(2000)] + [0, (1 << 21) - 1]
+        pairs = pair_list(7)
+        copy = pair_list(7)
+        permuted = pairs[:]
+        rng.shuffle(permuted)
+        # Interleaved, so tables kept for one list are asked for another.
+        for mask in masks:
+            for ps in (pairs, permuted, copy):
+                assert graph_from_edge_mask(7, mask, ps) == \
+                    graph_from_pair_mask(7, mask, ps), (mask, ps)
+        # An in-place edit of the list just used changes its graphs.
+        graph_from_edge_mask(7, 0, pairs)
+        rng.shuffle(pairs)
+        for mask in masks:
+            assert graph_from_edge_mask(7, mask, pairs) == \
+                graph_from_pair_mask(7, mask, pairs), mask
+
+    def test_same_pairs_other_n(self):
+        pairs = pair_list(4)
+        for n in (4, 6, 4, 8):
+            for mask in range(1 << len(pairs)):
+                assert graph_from_edge_mask(n, mask, pairs) == \
+                    graph_from_pair_mask(n, mask, pairs), (n, mask)
+        pairs = pair_list(5)
+        graph_from_edge_mask(5, 0, pairs)
+        with pytest.raises(ValueError, match="not an edge of K4"):
+            graph_from_edge_mask(4, 0, pairs)
+
+    @pytest.mark.parametrize("n, mask, pairs, message", [
+        (3, 8, pair_list(3), "outside"),
+        (3, -1, pair_list(3), "outside"),
+        (3, 1, [(0, 3)], "not an edge of K3"),
+        (3, 1, [(1, 1)], "not an edge of K3"),
+        (9, 0, pair_list(9), "0 <= n <= 8, got n=9"),
+    ])
+    def test_bad_input_rejected(self, n, mask, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            graph_from_edge_mask(n, mask, pairs)
 
 
 class TestSample:
@@ -140,6 +197,11 @@ class TestRunVerification:
         for check in ("nope", "lemma2_scope"):
             with pytest.raises(ValueError):
                 run_verification(exhaustive_population(3), checks=(check,))
+
+    def test_checks_validated_in_order_without_repeats(self):
+        assert validate_checks(["oracle", "bound", "oracle"]) == ("oracle", "bound")
+        with pytest.raises(ValueError, match="unknown check 'bogus'"):
+            validate_checks(["bound", "bogus"])
 
     def test_no_checks_rejected(self):
         with pytest.raises(ValueError, match="no checks given") as exc:

@@ -1,14 +1,36 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chibound.graphs import (Graph, GraphFormatError, complement,
+from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              complete_graph, connected_components,
                              disjoint_union, empty_graph, from_edges,
                              induced_subgraph, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6)
-from oracles import random_graph
+from oracles import bits_generator, random_graph
 
 import random
+
+
+class TestBits:
+    def test_every_16_bit_mask_matches_reference(self):
+        for mask in range(1 << 16):
+            assert bits(mask) == tuple(bits_generator(mask)), mask
+
+    def test_seeded_64_bit_masks_match_reference(self):
+        rng = random.Random(64)
+        masks = [rng.getrandbits(64) for _ in range(5000)]
+        masks += [(1 << 64) - 1, 1 << 63, 1 << 8, 0xFF00FF00FF00FF00]
+        for mask in masks:
+            assert bits(mask) == tuple(bits_generator(mask)), mask
+
+    def test_returns_a_tuple(self):
+        assert bits(0) == ()
+        assert bits(0b1010_0000_0001) == (0, 9, 11)
+
+    @pytest.mark.parametrize("mask", [-4, -1, 1 << 64, (1 << 64) + 1])
+    def test_rejects_masks_outside_64_bits(self, mask):
+        with pytest.raises(ValueError, match="outside"):
+            bits(mask)
 
 
 class TestGraph6:

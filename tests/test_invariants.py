@@ -170,6 +170,25 @@ class TestReports:
         assert (r.n, r.omega, r.chi, r.delta, r.bound, r.tight) == \
                (16, 5, 8, 10, 8, True)
 
+    def test_one_clique_search_per_report(self, monkeypatch):
+        # The exact engine reuses compute_invariants' clique: with a 3K1 in
+        # the graph, "auto" takes that engine.
+        import chibound.invariants as inv
+        calls = []
+        real = inv.max_clique
+        monkeypatch.setattr(inv, "max_clique",
+                            lambda g, *a: calls.append(g) or real(g, *a))
+        g = cycle_graph(7)
+        assert compute_invariants(g).chi == 3
+        assert len(calls) == 1
+
+    def test_given_clique_changes_nothing(self):
+        import random
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 9), rng.choice([0.3, 0.5, 0.7]), rng)
+            assert chromatic_exact(g, max_clique(g)) == chromatic_exact(g)
+
     def test_forced_engines_agree(self):
         g = cycle_graph(5)
         assert compute_invariants(g, engine="exact").chi == \

@@ -126,6 +126,17 @@ class TestMembership:
             verdicts.append(member)
         assert min(verdicts.count(True), verdicts.count(False)) > 100
 
+    def test_oracle_uses_no_direct_decider(self, monkeypatch):
+        import chibound.patterns as pat
+
+        def forbidden(g):
+            raise AssertionError("the complement oracle called a direct decider")
+        for name in ("is_class_member", "find_3K1", "check_membership",
+                     "find_forbidden_5pattern"):
+            monkeypatch.setattr(pat, name, forbidden)
+        verdicts = [pat.complement_oracle_check(g) for g in iter_all_graphs(5)]
+        assert verdicts.count(True) == 358
+
     def test_complement_of_c5_is_member(self):
         from chibound.graphs import complement
         assert complement_oracle_check(cycle_graph(5))
