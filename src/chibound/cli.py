@@ -124,7 +124,7 @@ def cmd_corpus(args) -> int:
         report = run_verification(population, checks, jobs=args.jobs)
         print(report.to_json())
         dump.writelines(cert["graph6"] + "\n" for cert in report.violations)
-    return EXIT_VIOLATION if report.has_violations else EXIT_OK
+    return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
 def _job_count(text: str) -> int:

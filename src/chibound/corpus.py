@@ -11,10 +11,12 @@ reported value.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import random
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, complement, is_connected, serialize_graph6
@@ -30,6 +32,7 @@ SAMPLE_MIN_N = 8
 SAMPLE_MAX_N = 14
 GIVE_UP_WINDOW = 20000
 GIVE_UP_RATE = 0.001
+CHUNK_SIZE = 4096  # graphs per worker task
 
 
 def _check_sample_size(n: int, count: int) -> None:
@@ -164,16 +167,10 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class Population:
-    """A campaign's input: the report's ``population`` block and a
-    zero-argument function that starts the graph stream afresh."""
-    block: dict
-    start: Callable[[], Iterator[Graph]]
-
-    def descriptor(self) -> dict:
-        return dict(self.block)
-
-    def stream(self) -> Iterator[Graph]:
-        return self.start()
+    """A campaign's input: two zero-argument functions, one that builds the
+    report's ``population`` block and one that starts the graph stream afresh."""
+    descriptor: Callable[[], dict]
+    stream: Callable[[], Iterator[Graph]]
 
 
 def exhaustive_population(n: int) -> Population:
@@ -181,19 +178,20 @@ def exhaustive_population(n: int) -> Population:
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive campaigns support 1 <= n <= "
                          f"{ENUMERATION_LIMIT}, got n={n}")
-    return Population({"mode": "exhaustive", "n": n}, lambda: iter_all_graphs(n))
+    return Population(lambda: {"mode": "exhaustive", "n": n},
+                      lambda: iter_all_graphs(n))
 
 
 def sample_population(n: int, count: int, seed: int) -> Population:
     _check_sample_size(n, count)
-    return Population({"mode": "sample", "n": n, "count": count, "seed": seed},
+    return Population(lambda: {"mode": "sample", "n": n, "count": count, "seed": seed},
                       lambda: sample_class(n, count, seed))
 
 
 def explicit_population(graphs: Iterable[Graph]) -> Population:
     gs = tuple(graphs)
-    return Population({"mode": "explicit", "n": max((g.n for g in gs), default=0),
-                       "count": len(gs)}, lambda: iter(gs))
+    return Population(lambda: {"mode": "explicit", "n": max((g.n for g in gs), default=0),
+                               "count": len(gs)}, lambda: iter(gs))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +226,6 @@ class CorpusReport:
     def add_violation(self, check: str, g: Graph, detail: str) -> None:
         self.violations.append({"check": check, "graph6": serialize_graph6(g),
                                 "detail": detail})
-
-    @property
-    def has_violations(self) -> bool:
-        return bool(self.violations)
 
     def merge(self, part: CorpusReport) -> None:
         """Fold in the report of the chunk that follows this one."""
@@ -348,23 +342,11 @@ def _crosscheck_selected(g: Graph) -> bool:
     return zlib.crc32(serialize_graph6(g).encode()) % 100 == 0
 
 
-def _run_chunk(args: tuple[tuple[Graph, ...], tuple[str, ...]]) -> CorpusReport:
-    graphs, checks = args
+def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusReport:
     report = CorpusReport(None, checks)
     for g in graphs:
         _check_graph(g, report)
     return report
-
-
-def _chunked(stream: Iterator[Graph], size: int) -> Iterator[tuple[Graph, ...]]:
-    chunk = []
-    for g in stream:
-        chunk.append(g)
-        if len(chunk) == size:
-            yield tuple(chunk)
-            chunk = []
-    if chunk:
-        yield tuple(chunk)
 
 
 def validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -381,16 +363,21 @@ def validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
 
 def run_verification(population: Population,
                      checks: Iterable[str] = ("bound",),
-                     jobs: int = 1,
-                     chunk_size: int = 4096) -> CorpusReport:
+                     jobs: int = 1) -> CorpusReport:
     checks_t = validate_checks(checks)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     total = CorpusReport(population.descriptor(), checks_t)
-    tasks = ((chunk, checks_t) for chunk in _chunked(population.stream(), chunk_size))
+    stream = population.stream()
+    # Chunks are copied into tuples of their final size: a tuple grown from
+    # islice is reallocated in the pool's task-handler thread, whose malloc
+    # arena then keeps the freed pages (sample14 peak RSS +7%).
+    chunks = iter(lambda: tuple([*islice(stream, CHUNK_SIZE)]), ())
     with contextlib.ExitStack() as stack:
         mapper = map
         if jobs > 1:
             import multiprocessing
             mapper = stack.enter_context(multiprocessing.Pool(jobs)).imap
-        for part in mapper(_run_chunk, tasks):
+        for part in mapper(functools.partial(_run_chunk, checks=checks_t), chunks):
             total.merge(part)
     return total

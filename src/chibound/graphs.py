@@ -206,6 +206,9 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # graph6 (bit-exact per the published format description)
 
+_SIX_BITS = tuple(format(k, "06b") for k in range(64))  # byte - 63 -> its bits
+
+
 def parse_graph6(text: str) -> Graph:
     line = text.strip()
     if line.startswith(">>graph6<<"):
@@ -239,23 +242,17 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
     if len(data) - pos > nbytes:
         raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
+    # The upper triangle column by column: (0,1), (0,2), (1,2), (0,3), ...
+    body = "".join([_SIX_BITS[b - 63] for b in data[pos:]])
+    if "1" in body[nbits:]:  # padding fills only the last byte
+        raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
     adj = [0] * n
-    bit = 0
-    u, v = 0, 1
-    for i in range(pos, pos + nbytes):
-        group = data[i] - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise GraphFormatError(f"nonzero padding bit at offset {i}")
-                continue
-            if group >> k & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit += 1
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
+    start = 0
+    for v in range(1, n):
+        adj[v] = int(body[start:start + v][::-1], 2)
+        for u in bits(adj[v]):
+            adj[u] |= 1 << v
+        start += v
     return Graph(n, tuple(adj))
 
 

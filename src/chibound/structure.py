@@ -81,16 +81,6 @@ class Lemma1Report:
     # vertices miss the same D vertex?
     missmap_injective: bool = True
 
-    def verdict(self, name: str) -> PropertyVerdict:
-        for k, v in self.properties:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    @property
-    def has_failure(self) -> bool:
-        return any(v.status == FAILS for _, v in self.properties)
-
     def to_json_dict(self) -> dict:
         return {
             "properties": {k: v.to_json_dict() for k, v in self.properties},

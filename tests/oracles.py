@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from chibound.graphs import Graph, from_edges
+from chibound.graphs import MAX_VERTICES, Graph, GraphFormatError, from_edges
 
 # u1=0, u2=1, a=2, b=3, c=4
 PATTERN_EDGES = frozenset(
@@ -23,6 +23,61 @@ def bits_generator(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def parse_graph6_bitwise(text: str) -> Graph:
+    """Reference for ``graphs.parse_graph6``: the same checks in the same
+    order, then the body decoded one bit at a time, walking (u, v) through
+    the upper triangle column by column."""
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise GraphFormatError("empty graph6 input")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
+    for off, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise GraphFormatError(f"invalid graph6 byte at offset {off}")
+    if data[0] == 126:  # '~': extended vertex count
+        if len(data) >= 2 and data[1] == 126:
+            raise GraphFormatError("graph counts beyond 2^18 not supported (offset 1)")
+        if len(data) < 4:
+            raise GraphFormatError("truncated graph6 header (offset 0)")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex kernel (offset 0)")
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
+    if len(data) - pos > nbytes:
+        raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
+    adj = [0] * n
+    bit = 0
+    u, v = 0, 1
+    for i in range(pos, pos + nbytes):
+        group = data[i] - 63
+        for k in range(5, -1, -1):
+            if bit >= nbits:
+                if group >> k & 1:
+                    raise GraphFormatError(f"nonzero padding bit at offset {i}")
+                continue
+            if group >> k & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            bit += 1
+            u += 1
+            if u == v:
+                u, v = 0, v + 1
+    return Graph(n, tuple(adj))
 
 
 def graph_from_pair_mask(n: int, mask: int, pairs) -> Graph:

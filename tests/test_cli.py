@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ import pytest
 import chibound
 from chibound import cli
 from chibound.cli import main
-from chibound.constructions import extremal_omega5, wheel6
-from chibound.graphs import from_edges, serialize_graph6
+from chibound.constructions import extremal_omega5, extremal_witnesses, wheel6
+from chibound.corpus import sample_class
+from chibound.graphs import (complete_graph, disjoint_union, empty_graph,
+                             from_edges, join, serialize_graph6)
+from oracles import random_graph
 
 
 def cycle6():
@@ -145,6 +149,33 @@ class TestDecompose:
         assert first == last and (first["v"], first["w"]) == (0, 2)
         assert failed["line"] == 2
         assert failed["error"].startswith("no partitioning pair")
+
+
+def pinned_stream() -> str:
+    """The seven extremal witnesses, 30 sampled n = 12 members, C6, the
+    5-pattern, K4 plus two isolated vertices (a 3K1) and a dense G(18, 0.7)."""
+    graphs = [*extremal_witnesses(), *sample_class(12, 30, 7),
+              from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+              join(empty_graph(2), disjoint_union(complete_graph(2), empty_graph(1))),
+              disjoint_union(complete_graph(4), empty_graph(2)),
+              random_graph(18, 0.7, random.Random(18))]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
+class TestPerGraphBytes:
+    # The sha256 of each pass's stdout over one fixed stream: every record,
+    # decompose's error records for graphs without a partitioning pair
+    # included, must stay byte-identical across refactors.
+    @pytest.mark.parametrize("cmd, code, digest", [
+        ("check", 2, "2ae0ab5dfe205b550627d547313a44f20f068ff5542bed9e4be231bfe577327c"),
+        ("invariants", 0, "05ef8810b21f3b8c9b5ea7a5af7537560df05563eae9fbf91536486295902977"),
+        ("decompose", 1, "d9aded4982626324c14e75824c1b211d25665db23092be0b82b5672ad91d498e"),
+    ])
+    def test_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
+        got, out, err = run(capsys, cmd, "-", stdin=pinned_stream(),
+                            monkeypatch=monkeypatch)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGen:

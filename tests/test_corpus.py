@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chibound import corpus
 from chibound.constructions import extremal_omega5
 from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
                              exhaustive_population, explicit_population,
@@ -175,7 +176,6 @@ class TestRunVerification:
         assert report.members == 358
         assert report.oracle == {"checked": 1024, "disagreements": 0}
         assert report.violations == []
-        assert not report.has_violations
 
     def test_exhaustive_lemma_checks(self):
         report = run_verification(exhaustive_population(5),
@@ -233,13 +233,23 @@ class TestRunVerification:
         assert json.loads(first)["graphs"] == 3
         assert run_verification(pop, checks=VALID_CHECKS).to_json() == first
 
-    def test_jobs_do_not_change_report(self):
+    def test_jobs_do_not_change_report(self, monkeypatch):
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 64)
         pop = sample_population(9, 200, 5)
-        seq = run_verification(pop, checks=("bound",), jobs=1, chunk_size=64)
-        par = run_verification(pop, checks=("bound",), jobs=3, chunk_size=64)
+        seq = run_verification(pop, checks=("bound",), jobs=1)
+        par = run_verification(pop, checks=("bound",), jobs=3)
         assert seq.to_json() == par.to_json()
 
-    def test_chunking_does_not_change_all_checks_report(self):
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs, monkeypatch):
+        def no_stream(n):
+            raise AssertionError("stream started before jobs was checked")
+        monkeypatch.setattr(corpus, "iter_all_graphs", no_stream)
+        with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+            run_verification(exhaustive_population(3), jobs=jobs)
+
+    def test_chunking_does_not_change_all_checks_report(self, monkeypatch):
+        # 256 and 1024 divide the 1,024 graphs, so the last chunk is full.
         checks = ("bound", "lemma1", "lemma2", "oracle")
         pop = exhaustive_population(5)
         reference = run_verification(pop, checks=checks)
@@ -247,9 +257,9 @@ class TestRunVerification:
         assert reference.lemma2["checked"] > 0
         assert len(reference.omega_histogram) == 4
         for jobs in (1, 2):
-            for chunk_size in (1, 7, 4096):
-                report = run_verification(pop, checks=checks, jobs=jobs,
-                                          chunk_size=chunk_size)
+            for chunk_size in (1, 7, 256, 1024, 4096):
+                monkeypatch.setattr(corpus, "CHUNK_SIZE", chunk_size)
+                report = run_verification(pop, checks=checks, jobs=jobs)
                 assert report.to_json() == reference.to_json(), (jobs, chunk_size)
 
     def test_merge_rule(self):

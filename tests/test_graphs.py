@@ -6,7 +6,7 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              disjoint_union, empty_graph, from_edges,
                              induced_subgraph, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6)
-from oracles import bits_generator, random_graph
+from oracles import bits_generator, parse_graph6_bitwise, random_graph
 
 import random
 
@@ -93,11 +93,43 @@ class TestGraph6:
                            match="^invalid graph6 byte at offset 1$"):
             parse_graph6("DéW")
 
+    def test_matches_bitwise_reference(self):
+        # Random graphs on 0..64 vertices (n >= 63 takes the extended
+        # header), then one-byte corruptions of each line: the column
+        # decoder gives the reference's graph or its exact error message.
+        rng = random.Random(6)
+        corrupt_bytes = [chr(c) for c in range(32, 128)] + ["\xe9"]
+        texts = []
+        for n in range(65):
+            for _ in range(3):
+                line = serialize_graph6(random_graph(n, rng.random(), rng))
+                texts += [line, ">>graph6<<" + line]
+                for off in [len(line) - 1] + [rng.randrange(len(line))
+                                              for _ in range(5)]:
+                    texts.append(line[:off] + rng.choice(corrupt_bytes)
+                                 + line[off + 1:])
+        errors = []
+        for text in texts:
+            got = _parse_outcome(parse_graph6, text)
+            assert got == _parse_outcome(parse_graph6_bitwise, text), text
+            if isinstance(got, str):
+                errors.append(got)
+        assert any("padding" in e for e in errors)
+        assert any("invalid graph6 byte" in e for e in errors)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.randoms(use_true_random=False))
     def test_roundtrip_random(self, n, rng):
         g = random_graph(n, 0.5, rng)
         assert parse_graph6(serialize_graph6(g)) == g
+
+
+def _parse_outcome(parse, text):
+    """The parsed graph, or the message of the GraphFormatError raised."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
 
 
 def _parses_or_rejects(parse, text):
