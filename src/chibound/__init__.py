@@ -11,9 +11,9 @@ from .patterns import (PatternWitness, check_membership,
                        complement_oracle_check, find_3K1,
                        find_forbidden_5pattern, is_class_member,
                        witness_is_valid)
-from .invariants import (InvariantReport, bound_f, chi_via_matching,
-                         chromatic_exact, clique_number, compute_invariants,
-                         max_clique, max_matching)
+from .invariants import (bound_f, chi_via_matching, chromatic_exact,
+                         clique_number, compute_invariants, max_clique,
+                         max_matching)
 from .structure import (Decomposition, Lemma1Report, check_lemma1,
                         choose_partitioning_pair, decompose)
 from .constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,

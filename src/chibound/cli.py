@@ -53,7 +53,7 @@ def answer_check(g, args) -> tuple[dict, int]:
 
 
 def answer_invariants(g, args) -> tuple[dict, int]:
-    return compute_invariants(g, engine=args.engine).to_json_dict(), EXIT_OK
+    return compute_invariants(g, engine=args.engine), EXIT_OK
 
 
 def answer_decompose(g, args) -> tuple[dict, int]:
@@ -100,8 +100,7 @@ def cmd_gen(args) -> int:
     for g in _GENERATORS[args.family]():
         line = serialize_graph6(g)
         if args.verify:
-            print(json.dumps({"graph6": line,
-                              "report": compute_invariants(g).to_json_dict()}))
+            print(json.dumps({"graph6": line, "report": compute_invariants(g)}))
         else:
             print(line)
     return EXIT_OK
@@ -123,7 +122,9 @@ def cmd_corpus(args) -> int:
     with open(args.dump_violations or os.devnull, "w") as dump:
         report = run_verification(population, checks, jobs=args.jobs)
         print(report.to_json())
-        dump.writelines(cert["graph6"] + "\n" for cert in report.violations)
+        # Each violating graph once, in the order of its first violation.
+        dump.writelines(line + "\n" for line in
+                        dict.fromkeys(cert["graph6"] for cert in report.violations))
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 

@@ -17,7 +17,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, complement, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
@@ -43,56 +43,48 @@ def _check_sample_size(n: int, count: int) -> None:
         raise ValueError(f"sample count must be >= 0, got {count}")
 
 
-def _pair_bits(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for v in range(1, n) for u in range(v)]
+@functools.cache
+def _pair_bits(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
 EDGE_MASK_MAX_N = 8  # one byte per packed adjacency row
 
-# The tables of the last (n, pairs) seen: (n, that pairs list, a copy of its
-# contents, per-byte tables, 2 ** len(pairs)).  One tuple, replaced whole.
-_edge_memo: tuple = (-1, None, None, (), 1)
+
+def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple, ...]:
+    """Per-byte tables for graph_from_edge_mask: ``tables[k][b]`` is the
+    packed adjacency -- row v in byte v -- of the edges pairs[8k + i] for the
+    set bits i of the byte value b."""
+    if not 0 <= n <= EDGE_MASK_MAX_N:
+        raise ValueError(f"edge-mask graphs support 0 <= n <= "
+                         f"{EDGE_MASK_MAX_N}, got n={n}")
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
+    edges = [1 << (8 * u + v) | 1 << (8 * v + u) for u, v in pairs]
+    tables = []
+    for k in range(0, len(edges), 8):
+        table = [0]
+        for e in edges[k:k + 8]:
+            table += [t | e for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
-def _load_edge_tables(n: int, pairs: list[tuple[int, int]]) -> tuple[tuple, int]:
-    """Per-byte tables for graph_from_edge_mask, and its mask limit.
-
-    ``tables[k][b]`` is the packed adjacency -- row v in byte v -- of the
-    edges pairs[8k + i] for the set bits i of the byte value b.  The tables
-    belong to the *contents* of pairs: a caller may edit its list in place,
-    so the memo keeps a copy to compare on every call.  An equal list that
-    arrives keeps the tables and is copied afresh, so that the next
-    comparisons meet the same pair objects and stay pointer checks.
-    """
-    global _edge_memo
-    snapshot = list(pairs)
-    memo_n, _, memo_pairs, tables, limit = _edge_memo
-    if n != memo_n or snapshot != memo_pairs:
-        if not 0 <= n <= EDGE_MASK_MAX_N:
-            raise ValueError(f"edge-mask graphs support 0 <= n <= "
-                             f"{EDGE_MASK_MAX_N}, got n={n}")
-        for u, v in snapshot:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
-        edges = [1 << (8 * u + v) | 1 << (8 * v + u) for u, v in snapshot]
-        built = []
-        for k in range(0, len(edges), 8):
-            table = [0]
-            for e in edges[k:k + 8]:
-                table += [t | e for t in table]
-            built.append(tuple(table))
-        tables, limit = tuple(built), 1 << len(edges)
-    _edge_memo = (n, pairs, snapshot, tables, limit)
-    return tables, limit
+# (n, a copy of pairs, their tables) of the last call: a caller may edit its
+# list in place, so every call compares its pairs with the copy.
+_edge_memo: tuple = (-1, (), ())
 
 
-def graph_from_edge_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
+def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
     """The graph on n <= 8 vertices with the edges pairs[i] for the set bits
     i of mask."""
-    memo_n, source, snapshot, tables, limit = _edge_memo
-    if n != memo_n or pairs is not source or snapshot != pairs:
-        tables, limit = _load_edge_tables(n, pairs)
-    if not 0 <= mask < limit:
+    global _edge_memo
+    memo_n, memo_pairs, tables = _edge_memo
+    if n != memo_n or pairs != memo_pairs:
+        tables = _edge_tables(n, pairs)
+        _edge_memo = (n, pairs[:], tables)
+    if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"edge mask {mask} outside [0, 2**{len(pairs)})")
     packed = 0
     for table in tables:
@@ -128,7 +120,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     """
     _check_sample_size(n, count)
     getrandbits = random.Random(seed).getrandbits
-    base_pairs = _pair_bits(n)
+    base_pairs = list(_pair_bits(n))
     # random.shuffle's Fisher-Yates on getrandbits, inlined: the same draws,
     # so the same stream as rng.shuffle(pairs) for a seed.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_pairs) - 1, 0, -1)]

@@ -9,7 +9,6 @@ chi(G) = n - mu(complement(G)) valid whenever G has no independent triple
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import Graph, bits, complement
 from .patterns import find_3K1
@@ -283,32 +282,9 @@ def bound_f(omega: int) -> int:
     return 3 * omega // 2
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantReport:
-    n: int
-    omega: int
-    chi: int
-    delta: int
-    bound: int
-    tight: bool
-    clique: int  # vertex mask
-    coloring: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega": self.omega,
-            "chi": self.chi,
-            "delta": self.delta,
-            "bound": self.bound,
-            "tight": self.tight,
-            "clique": list(bits(self.clique)),
-            "coloring": list(self.coloring),
-        }
-
-
-def compute_invariants(g: Graph, engine: str = "auto") -> InvariantReport:
-    """Full invariant report; engine is 'auto', 'exact' or 'matching'."""
+def compute_invariants(g: Graph, engine: str = "auto") -> dict:
+    """The invariant report as a JSON dict, the clique as its vertex list;
+    engine is 'auto', 'exact' or 'matching'."""
     omega, clique = max_clique(g)
     if engine == "matching" or (engine == "auto" and find_3K1(g) is None):
         chi, coloring = chi_via_matching(g)
@@ -317,13 +293,13 @@ def compute_invariants(g: Graph, engine: str = "auto") -> InvariantReport:
     else:
         raise ValueError(f"unknown chi engine {engine!r}")
     bound = bound_f(omega) if omega >= 1 else 0
-    return InvariantReport(
-        n=g.n,
-        omega=omega,
-        chi=chi,
-        delta=g.max_degree(),
-        bound=bound,
-        tight=(chi == bound),
-        clique=clique,
-        coloring=coloring,
-    )
+    return {
+        "n": g.n,
+        "omega": omega,
+        "chi": chi,
+        "delta": g.max_degree(),
+        "bound": bound,
+        "tight": chi == bound,
+        "clique": list(bits(clique)),
+        "coloring": list(coloring),
+    }

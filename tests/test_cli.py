@@ -13,7 +13,8 @@ import chibound
 from chibound import cli
 from chibound.cli import main
 from chibound.constructions import extremal_omega5, extremal_witnesses, wheel6
-from chibound.corpus import sample_class
+from chibound import corpus
+from chibound.corpus import enumerate_class, sample_class
 from chibound.graphs import (complete_graph, disjoint_union, empty_graph,
                              from_edges, join, serialize_graph6)
 from oracles import random_graph
@@ -211,6 +212,19 @@ class TestGen:
         assert [r["omega"] for r in reports] == list(range(1, 8))
         assert all(r["tight"] for r in reports)
 
+    # The sha256 of each family's `gen --verify` stdout: the invariant
+    # reports must stay byte-identical across refactors.
+    @pytest.mark.parametrize("family, digest", [
+        ("c5", "f76a80fe3a82b4c8b3a90590f0be5e66ffe6d178777ec7cf92fd28e9622372e2"),
+        ("w6", "187c2e5a6d1b9d5aa90db347cab4bd6b240b4f888812d677f098021e78979c63"),
+        ("omega5", "f87af1becddeca33e4d38343cbf83b117853b5b2992589651f1a28765957629c"),
+        ("extremal", "913c16e12e26dea2bd20db143cd6504dc12686053177be0c63fab90f1a39cc7c"),
+    ])
+    def test_verify_bytes_pinned(self, capsys, family, digest):
+        code, out, err = run(capsys, "gen", family, "--verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("family, param", [("c5", "7"), ("omega5", "3")])
     def test_parameter_rejected(self, capsys, family, param):
         with pytest.raises(SystemExit) as exc:
@@ -311,6 +325,21 @@ class TestCorpus:
                              "--dump-violations", str(path))
         assert code == 0
         assert path.read_text() == ""
+
+    def test_dump_writes_each_violating_graph_once(self, capsys, monkeypatch, tmp_path):
+        # Every member then fails twice: chi exceeds the bound, and the
+        # engines disagree.
+        monkeypatch.setattr(corpus, "chi_via_matching", lambda g: (99, ()))
+        monkeypatch.setattr(corpus, "chromatic_exact", lambda g: (98, ()))
+        monkeypatch.setattr(corpus, "_crosscheck_selected", lambda g: True)
+        path = tmp_path / "bad.g6"
+        code, out, err = run(capsys, "corpus", "exhaustive", "3",
+                             "--dump-violations", str(path))
+        assert code == 3
+        members = [serialize_graph6(g) for g in enumerate_class(3)]
+        assert [v["graph6"] for v in json.loads(out)["violations"]] == \
+               [line for line in members for _ in range(2)]
+        assert path.read_text().splitlines() == members
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

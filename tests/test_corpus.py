@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chibound import corpus
-from chibound.constructions import extremal_omega5
+from chibound.constructions import cycle, extremal_omega5, wheel6
 from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
                              exhaustive_population, explicit_population,
                              graph_from_edge_mask, iter_all_graphs,
@@ -14,6 +14,7 @@ from chibound.graphs import complete_graph, empty_graph, from_edges, join, seria
 from chibound.invariants import clique_number
 from chibound.patterns import (check_membership, complement_oracle_check,
                                is_class_member)
+from chibound.structure import FAILS, Lemma1Report, PropertyVerdict
 from oracles import graph_from_pair_mask, triangle_free_complement
 
 # Locked regression fixture from the first verified run.
@@ -98,6 +99,27 @@ class TestGraphFromEdgeMask:
         with pytest.raises(ValueError, match="not an edge of K4"):
             graph_from_edge_mask(4, 0, pairs)
 
+    def test_tables_built_once_per_contents(self, monkeypatch):
+        built = []
+        real = corpus._edge_tables
+        monkeypatch.setattr(corpus, "_edge_tables",
+                            lambda n, pairs: built.append(n) or real(n, pairs))
+        graph_from_edge_mask(4, 0, pair_list(4))
+        for _ in range(2):
+            assert sum(1 for _ in iter_all_graphs(5)) == 1024
+        graph_from_edge_mask(5, 7, tuple(pair_list(5)))  # equal, a fresh tuple
+        assert built == [4, 5]
+        # A list never equals a tuple, so the first list builds them again;
+        # an equal fresh list keeps them, and an in-place edit rebuilds them.
+        pairs = pair_list(5)
+        graph_from_edge_mask(5, 7, pairs)
+        graph_from_edge_mask(5, 7, pair_list(5))
+        assert built == [4, 5, 5]
+        random.Random(1).shuffle(pairs)
+        assert pairs != pair_list(5)
+        assert graph_from_edge_mask(5, 7, pairs) == graph_from_pair_mask(5, 7, pairs)
+        assert built == [4, 5, 5, 5]
+
     @pytest.mark.parametrize("n, mask, pairs, message", [
         (3, 8, pair_list(3), "outside"),
         (3, -1, pair_list(3), "outside"),
@@ -145,6 +167,14 @@ class TestSample:
             if check_membership(g) is None:
                 expected.append(g)
         assert list(sample_class(n, 200, seed)) == expected
+
+    def test_gives_up_on_a_rejecting_window(self, monkeypatch):
+        monkeypatch.setattr(corpus, "GIVE_UP_WINDOW", 10)
+        monkeypatch.setattr(corpus, "is_class_member", lambda g: False)
+        with pytest.raises(RuntimeError) as exc:
+            list(sample_class(8, 5, 1))
+        assert str(exc.value) == ("sampler giving up at n=8: 0 acceptances in "
+                                  "the last 10 attempts (0/5 members emitted so far)")
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -278,6 +308,42 @@ class TestRunVerification:
             2: {"count": 3, "max_chi": 3, "bound": 3, "violations": 1}}
         assert total.oracle == {"checked": 2, "disagreements": 0}
         assert total.violations == [{"check": "a"}, {"check": "b"}]
+
+    def test_every_violation_recorded_in_order(self, monkeypatch):
+        # Each check's second opinion is patched to disagree, so every
+        # violation path records; C5 has ten partitioning pairs and omega 2,
+        # W6 none and omega 3.
+        monkeypatch.setattr(corpus, "complement_oracle_check", lambda g: False)
+        monkeypatch.setattr(corpus, "chi_via_matching", lambda g: (99, ()))
+        monkeypatch.setattr(corpus, "chromatic_exact", lambda g: (98, ()))
+        monkeypatch.setattr(corpus, "_crosscheck_selected", lambda g: True)
+        monkeypatch.setattr(corpus, "check_lemma1", lambda g, dec: Lemma1Report(
+            (("1.6", PropertyVerdict(FAILS, (5, 6))),)))
+
+        def records(line, bound):
+            return [
+                {"check": "oracle", "graph6": line,
+                 "detail": "direct=True, complement oracle=False"},
+                {"check": "bound", "graph6": line, "detail": f"chi=99 exceeds {bound}"},
+                {"check": "engine", "graph6": line,
+                 "detail": "matching chi=99, exact chi=98"},
+            ]
+
+        c5_pairs = [(0, 2), (0, 3), (1, 3), (1, 4), (2, 0), (2, 4), (3, 0),
+                    (3, 1), (4, 1), (4, 2)]
+        expected = records("Dhc", "f(2)=3") + [
+            {"check": "lemma1", "graph6": "Dhc",
+             "detail": f"property 1.6 fails at pair ({v},{w}), witness [5, 6]"}
+            for v, w in c5_pairs
+        ] + records("E|fG", "f(3)=4") + [
+            {"check": "lemma2", "graph6": "E|fG", "detail": "chi=99"}]
+        pop = explicit_population([cycle(5), wheel6()])
+        for chunk_size in (corpus.CHUNK_SIZE, 1):
+            monkeypatch.setattr(corpus, "CHUNK_SIZE", chunk_size)
+            report = run_verification(pop, checks=VALID_CHECKS)
+            assert report.violations == expected, chunk_size
+            assert report.oracle == {"checked": 2, "disagreements": 2}
+            assert [row["violations"] for row in report.omega_histogram.values()] == [1, 1]
 
     def test_disconnected_members_flagged(self):
         # Two disjoint triangles: complement is bipartite, so this is a

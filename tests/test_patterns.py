@@ -86,6 +86,49 @@ class TestFind5Pattern:
             assert witness_is_valid(g, w)
 
 
+# pattern_graph()'s edges: u1 = 0 and u2 = 1 joined to the edge ab = 23 and to c = 4.
+PATTERN_EDGES = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
+
+
+class TestWitnessIsValid:
+    """The rejections of the finder-independent witness re-check."""
+
+    def test_valid_witnesses_accepted(self):
+        assert from_edges(5, PATTERN_EDGES) == pattern_graph()
+        assert witness_is_valid(empty_graph(3), PatternWitness(THREE_K1, (0, 1, 2)))
+        assert witness_is_valid(pattern_graph(), PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)))
+
+    @pytest.mark.parametrize("g, w", [
+        # a repeated vertex
+        (empty_graph(3), PatternWitness(THREE_K1, (0, 0, 1))),
+        # a vertex out of range, either side
+        (empty_graph(3), PatternWitness(THREE_K1, (0, 1, 3))),
+        (empty_graph(3), PatternWitness(THREE_K1, (-1, 0, 1))),
+        # an unknown kind
+        (empty_graph(3), PatternWitness("FourK1", (0, 1, 2))),
+        # a 3K1 of the wrong size, or with an edge
+        (empty_graph(4), PatternWitness(THREE_K1, (0, 1))),
+        (empty_graph(4), PatternWitness(THREE_K1, (0, 1, 2, 3))),
+        (from_edges(3, [(1, 2)]), PatternWitness(THREE_K1, (0, 1, 2))),
+        # a 5-pattern on four vertices (u1 repeated as u2), without roles,
+        # or with roles other than its vertices
+        (pattern_graph(), PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 2, 3, 4), (0, 0, 2, 3, 4))),
+        (pattern_graph(), PatternWitness(TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4))),
+        # (vertex 5 is a twin of 4, so either witness alone would be valid)
+        (from_edges(6, [*PATTERN_EDGES, (0, 5), (1, 5)]), PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 5))),
+        # a 5-pattern missing the induced edge u1a, or with the extra u1u2
+        (from_edges(5, PATTERN_EDGES[1:]),
+         PatternWitness(TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))),
+        (from_edges(5, [*PATTERN_EDGES, (0, 1)]),
+         PatternWitness(TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))),
+    ])
+    def test_rejected(self, g, w):
+        assert not witness_is_valid(g, w)
+
+
 class TestMembership:
     @pytest.mark.parametrize("n", [1, 3, 7, 20, 64])
     def test_complete_graphs_are_members(self, n):

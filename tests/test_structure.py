@@ -8,8 +8,9 @@ from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
                              join, mask_of, parse_graph6)
 from chibound.patterns import is_class_member
-from chibound.structure import (FAILS, HOLDS, VACUOUS, DecompositionError,
-                                NotInClassError, all_partitioning_pairs,
+from chibound.structure import (FAILS, HOLDS, VACUOUS, Decomposition,
+                                DecompositionError, NotInClassError,
+                                PropertyVerdict, all_partitioning_pairs,
                                 check_lemma1, choose_partitioning_pair,
                                 decompose)
 
@@ -209,6 +210,23 @@ class TestLemma1:
         properties, injective = self.FAILING[line, v, w]
         assert json.dumps(report.to_json_dict()) == json.dumps(
             {"properties": properties, "missmap_injective": injective})
+
+    # 1.6 holds on no decomposition the other tests reach (it needs
+    # |M1| >= |M2| >= 4 and uniform cross adjacency), so these are built by
+    # hand: v = 0, w = 1, M1 = {2..5}, M2 = {6..9}, M3 = {10, 11}, M4 = {12, 13}.
+    @pytest.mark.parametrize("cross, verdict", [
+        ([], PropertyVerdict(HOLDS)),
+        ([(10, 12), (10, 13), (11, 12), (11, 13)], PropertyVerdict(HOLDS)),
+        ([(10, 12)], PropertyVerdict(FAILS, (11, 13), "mixed cross adjacency")),
+    ])
+    def test_property_1_6_on_built_decomposition(self, cross, verdict):
+        m1, m2, m3, m4 = range(2, 6), range(6, 10), (10, 11), (12, 13)
+        g = from_edges(14, [(0, u) for u in (*m1, *m2, *m3)]
+                       + [(1, u) for u in (*m1, *m2, *m4)] + cross)
+        d = Decomposition(v=0, w=1, A=mask_of([*m1, *m2]), B=mask_of(m3),
+                          C=mask_of(m4), D=mask_of(m1), X=mask_of(m1),
+                          Y=mask_of(m2), Yp=0, missmap=())
+        assert dict(check_lemma1(g, d).properties)["1.6"] == verdict
 
     def test_partition_covers_every_non_edge(self):
         # The five-way split covers V for every non-edge, not just
