@@ -14,8 +14,8 @@ from .patterns import (PatternWitness, check_membership,
 from .invariants import (bound_f, chi_via_matching, chromatic_exact,
                          clique_number, compute_invariants, max_clique,
                          max_matching)
-from .structure import (Decomposition, Lemma1Report, check_lemma1,
-                        choose_partitioning_pair, decompose)
+from .structure import (Decomposition, check_lemma1, choose_partitioning_pair,
+                        decompose)
 from .constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,
                             extremal_witnesses, wheel6)
 from .corpus import (CorpusReport, enumerate_class, exhaustive_population,

@@ -62,7 +62,7 @@ def answer_decompose(g, args) -> tuple[dict, int]:
         raise CliError("no partitioning pair: every maximum-degree "
                        "vertex is adjacent to all others")
     dec = decompose(g, *pair)
-    return {**dec.to_json_dict(), **check_lemma1(g, dec).to_json_dict()}, EXIT_OK
+    return {**dec.to_json_dict(), **check_lemma1(g, dec)}, EXIT_OK
 
 
 def _inputs(args):

@@ -291,7 +291,7 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
         omega = clique_number(g)
         chi, _ = chi_via_matching(g)
     if "bound" in checks:
-        bound = bound_f(omega)
+        bound = bound_f(omega) if omega >= 1 else 0
         hist = report.omega_histogram.setdefault(
             omega, {"count": 0, "max_chi": 0, "bound": bound, "violations": 0})
         hist["count"] += 1
@@ -321,12 +321,12 @@ def _check_graph(g: Graph, report: CorpusReport) -> None:
         for v, w in all_partitioning_pairs(g):
             report.lemma1["pairs_checked"] += 1
             dec = decompose(g, v, w, check_class=False)
-            for name, verdict in check_lemma1(g, dec).properties:
-                report.lemma1["properties"][name][verdict.status] += 1
-                if verdict.status == FAILS:
+            for name, verdict in check_lemma1(g, dec)["properties"].items():
+                report.lemma1["properties"][name][verdict["status"]] += 1
+                if verdict["status"] == FAILS:
                     report.add_violation(
                         "lemma1", g, f"property {name} fails at pair ({v},{w}), "
-                                     f"witness {list(verdict.witness)}")
+                                     f"witness {verdict['witness']}")
 
 
 def _crosscheck_selected(g: Graph) -> bool:

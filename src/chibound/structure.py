@@ -7,7 +7,8 @@ the graph induced on A, Y = A - D, and each y in Y misses at least one
 vertex of D; the missed vertices form Y', and X = D - Y'.  The seven
 structural properties are evaluated literally on M1 = D, M2 = Y, M3 = B,
 M4 = C, with v and w kept explicit.  Each property is one function of the
-``PROPERTIES`` table, and ``check_lemma1`` evaluates the table in order.
+``PROPERTIES`` table, and ``check_lemma1`` evaluates the table in order and
+returns the property report as a JSON dict.
 """
 from __future__ import annotations
 
@@ -59,33 +60,14 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyVerdict:
-    status: str
-    witness: tuple[int, ...] = ()
-    note: str = ""
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"status": self.status}
-        if self.witness:
-            d["witness"] = list(self.witness)
-        if self.note:
-            d["note"] = self.note
-        return d
-
-
-@dataclass(frozen=True, slots=True)
-class Lemma1Report:
-    properties: tuple[tuple[str, PropertyVerdict], ...]
-    # Diagnostics, not part of the lemma: does any pair of distinct Y
-    # vertices miss the same D vertex?
-    missmap_injective: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "properties": {k: v.to_json_dict() for k, v in self.properties},
-            "missmap_injective": self.missmap_injective,
-        }
+def _verdict(status: str, witness: tuple[int, ...] = (), note: str = "") -> dict:
+    """A property's JSON verdict; witness and note appear only when non-empty."""
+    verdict: dict = {"status": status}
+    if witness:
+        verdict["witness"] = list(witness)
+    if note:
+        verdict["note"] = note
+    return verdict
 
 
 def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -139,45 +121,45 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
                          missmap=tuple(missmap))
 
 
-# The seven properties, each a function (adj, d) -> PropertyVerdict.
+# The seven properties, each a function (adj, d) -> verdict dict.
 
-def _parts_complete(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _parts_complete(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.1: each part induces a complete graph."""
     if not d.D | d.Y | d.B | d.C:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     for name, part in (("M1", d.D), ("M2", d.Y), ("M3", d.B), ("M4", d.C)):
         for p, q in combinations(bits(part), 2):
             if not adj[p] >> q & 1:
-                return PropertyVerdict(FAILS, (p, q), f"non-edge inside {name}")
-    return PropertyVerdict(HOLDS)
+                return _verdict(FAILS, (p, q), f"non-edge inside {name}")
+    return _verdict(HOLDS)
 
 
-def _one_miss_per_m2(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _one_miss_per_m2(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.2: every M2 vertex is non-adjacent to exactly one M1 vertex."""
     if not d.Y:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     for y, missed in d.missmap:
         if missed.bit_count() != 1:
-            return PropertyVerdict(FAILS, (y, *bits(missed)),
-                                   "M2 vertex must miss exactly one M1 vertex")
-    return PropertyVerdict(HOLDS)
+            return _verdict(FAILS, (y, *bits(missed)),
+                            "M2 vertex must miss exactly one M1 vertex")
+    return _verdict(HOLDS)
 
 
-def _split_by_missed_pair(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _split_by_missed_pair(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.3: for every non-adjacent m1 in M1, m2 in M2, every vertex of M3 or
     M4 is adjacent to exactly one of them."""
     hyp = [(m1, m2) for m2 in bits(d.Y) for m1 in bits(d.D & ~adj[m2])]
     others = d.B | d.C
     if not hyp or not others:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     for m1, m2 in hyp:
         for m in bits(others):
             if (adj[m] >> m1 & 1) + (adj[m] >> m2 & 1) != 1:
-                return PropertyVerdict(FAILS, (m1, m2, m))
-    return PropertyVerdict(HOLDS)
+                return _verdict(FAILS, (m1, m2, m))
+    return _verdict(HOLDS)
 
 
-def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.4: pairs inside M3 and inside M4 share at least |M2| - 2 common
     neighbors.
 
@@ -186,43 +168,43 @@ def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyV
     """
     pairs = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits(part), 2)]
     if not pairs:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     need = d.Y.bit_count() - 2
     stated_fails = any((adj[p] & adj[q] & (d.D | d.Y)).bit_count() < need
                        for p, q in pairs)
     note = "stated M1+M2 reading: " + (FAILS if stated_fails else HOLDS)
     for p, q in pairs:
         if (adj[p] & adj[q] & (d.Y | d.Yp)).bit_count() < need:
-            return PropertyVerdict(FAILS, (p, q), note)
-    return PropertyVerdict(HOLDS, note=note)
+            return _verdict(FAILS, (p, q), note)
+    return _verdict(HOLDS, note=note)
 
 
-def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.5: adjacent cross pairs b in M3, c in M4 share at least |M2| - 1
     common neighbors from M1 + M2."""
     cross = [(b, c) for b in bits(d.B) for c in bits(d.C & adj[b])]
     if not cross:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     need = d.Y.bit_count() - 1
     for b, c in cross:
         if (adj[b] & adj[c] & (d.D | d.Y)).bit_count() < need:
-            return PropertyVerdict(FAILS, (b, c))
-    return PropertyVerdict(HOLDS)
+            return _verdict(FAILS, (b, c))
+    return _verdict(HOLDS)
 
 
-def _cross_all_or_none(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _cross_all_or_none(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.6: under |M1| >= |M2| >= 4, the cross edges between M3 and M4 are
     all present or all absent; the witness is the last absent pair."""
     if not (d.D.bit_count() >= d.Y.bit_count() >= 4) or not d.B or not d.C:
-        return PropertyVerdict(VACUOUS)
+        return _verdict(VACUOUS)
     present = any(d.C & adj[b] for b in bits(d.B))
     absent = [(b, c) for b in bits(d.B) for c in bits(d.C & ~adj[b])]
     if present and absent:
-        return PropertyVerdict(FAILS, absent[-1], "mixed cross adjacency")
-    return PropertyVerdict(HOLDS)
+        return _verdict(FAILS, absent[-1], "mixed cross adjacency")
+    return _verdict(HOLDS)
 
 
-def _b_follows_c_pair(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict:
+def _b_follows_c_pair(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.7: b in M3 adjacent to distinct c, c' in M4; any m in M1 + M2
     adjacent to both c and c' is adjacent to b, and any m adjacent to
     neither is non-adjacent to b."""
@@ -235,8 +217,8 @@ def _b_follows_c_pair(adj: tuple[int, ...], d: Decomposition) -> PropertyVerdict
             neither = ~adj[c] & ~adj[cp] & m1m2
             bad = (both & ~adj[b]) | (neither & adj[b])
             if bad:
-                return PropertyVerdict(FAILS, (b, c, cp, (bad & -bad).bit_length() - 1))
-    return PropertyVerdict(HOLDS if hyp_seen else VACUOUS)
+                return _verdict(FAILS, (b, c, cp, (bad & -bad).bit_length() - 1))
+    return _verdict(HOLDS if hyp_seen else VACUOUS)
 
 
 PROPERTIES = (
@@ -251,12 +233,14 @@ PROPERTIES = (
 PROPERTY_NAMES = tuple(name for name, _ in PROPERTIES)
 
 
-def check_lemma1(g: Graph, d: Decomposition) -> Lemma1Report:
-    """Evaluate every property of ``PROPERTIES`` literally on the decomposition."""
+def check_lemma1(g: Graph, d: Decomposition) -> dict:
+    """The JSON report of every property of ``PROPERTIES``, in order,
+    evaluated literally on the decomposition."""
     if d.A | d.B | d.C | (1 << d.v) | (1 << d.w) != g.full_mask:
         raise DecompositionError("decomposition does not cover the graph")
-    # Y' is the union of the missed sets, so they are pairwise disjoint iff
-    # their sizes add up to |Y'|.
+    # missmap_injective is a diagnostic, not part of the lemma: no two Y
+    # vertices miss the same D vertex.  Y' is the union of the missed sets,
+    # so they are pairwise disjoint iff their sizes add up to |Y'|.
     injective = sum(m.bit_count() for _, m in d.missmap) == d.Yp.bit_count()
-    return Lemma1Report(tuple((name, prop(g.adj, d)) for name, prop in PROPERTIES),
-                        missmap_injective=injective)
+    return {"properties": {name: prop(g.adj, d) for name, prop in PROPERTIES},
+            "missmap_injective": injective}

@@ -12,20 +12,21 @@ import pytest
 import chibound
 from chibound import cli
 from chibound.cli import main
-from chibound.constructions import extremal_omega5, extremal_witnesses, wheel6
+from chibound.constructions import (cycle, extremal_omega5, extremal_witnesses,
+                                    wheel6)
 from chibound import corpus
 from chibound.corpus import enumerate_class, sample_class
-from chibound.graphs import (complete_graph, disjoint_union, empty_graph,
-                             from_edges, join, serialize_graph6)
+from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
+                             serialize_graph6)
 from oracles import random_graph
 
 
 def cycle6():
-    return serialize_graph6(from_edges(6, [(i, (i + 1) % 6) for i in range(6)]))
+    return serialize_graph6(cycle(6))
 
 
 def c5():
-    return serialize_graph6(from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    return serialize_graph6(cycle(5))
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -156,7 +157,7 @@ def pinned_stream() -> str:
     """The seven extremal witnesses, 30 sampled n = 12 members, C6, the
     5-pattern, K4 plus two isolated vertices (a 3K1) and a dense G(18, 0.7)."""
     graphs = [*extremal_witnesses(), *sample_class(12, 30, 7),
-              from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+              cycle(6),
               join(empty_graph(2), disjoint_union(complete_graph(2), empty_graph(1))),
               disjoint_union(complete_graph(4), empty_graph(2)),
               random_graph(18, 0.7, random.Random(18))]

@@ -1,7 +1,8 @@
 import pytest
 
-from chibound.constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,
-                                    extremal_witnesses, wheel6)
+from chibound import constructions
+from chibound.constructions import (EXTREMAL_GRAPH6, ConstructionError, cycle,
+                                    extremal_omega5, extremal_witnesses, wheel6)
 from chibound.graphs import (complete_graph, induced_subgraph, parse_graph6,
                              serialize_graph6)
 from chibound.invariants import bound_f, chi_via_matching, clique_number
@@ -92,3 +93,11 @@ class TestOmega5Graph:
         b1_non = {u for u in range(16)
                   if u != idx["b1"] and not g.has_edge(idx["b1"], u)}
         assert b1_non == {idx[s] for s in ("w", "c1", "y1p", "y2p", "y3p")}
+
+    def test_one_sided_table_entry_rejected(self, monkeypatch):
+        # v lists b1 in place of w, but b1 does not list v back.
+        table = dict(constructions._OMEGA5_NON_ADJACENCY,
+                     v=("b1", "c1", "c2", "c3", "c4"))
+        monkeypatch.setattr(constructions, "_OMEGA5_NON_ADJACENCY", table)
+        with pytest.raises(ConstructionError):
+            extremal_omega5()

@@ -14,15 +14,10 @@ from chibound.graphs import complete_graph, empty_graph, from_edges, join, seria
 from chibound.invariants import clique_number
 from chibound.patterns import (check_membership, complement_oracle_check,
                                is_class_member)
-from chibound.structure import FAILS, Lemma1Report, PropertyVerdict
 from oracles import graph_from_pair_mask, triangle_free_complement
 
 # Locked regression fixture from the first verified run.
 SAMPLE_N10_SEED42_OMEGA_HIST = {4: 54, 5: 798, 6: 142, 7: 6}
-
-
-def cycle_graph(k):
-    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 class TestEnumerate:
@@ -38,7 +33,7 @@ class TestEnumerate:
     def test_n5_specific_graphs(self):
         lines = {serialize_graph6(g) for g in enumerate_class(5)}
         assert serialize_graph6(complete_graph(5)) in lines
-        assert serialize_graph6(cycle_graph(5)) in lines
+        assert serialize_graph6(cycle(5)) in lines
         pattern = join(empty_graph(2), from_edges(3, [(0, 1)]))
         assert serialize_graph6(pattern) not in lines
 
@@ -252,13 +247,13 @@ class TestRunVerification:
         sample = run_verification(sample_population(9, 200, 5)).to_json()
         assert list(json.loads(sample)["population"].items()) == [
             ("mode", "sample"), ("n", 9), ("count", 200), ("seed", 5)]
-        explicit = explicit_population([complete_graph(3), cycle_graph(5)])
+        explicit = explicit_population([complete_graph(3), cycle(5)])
         d = json.loads(run_verification(explicit).to_json())
         assert list(d["population"].items()) == [
             ("mode", "explicit"), ("n", 5), ("count", 2)]
 
     def test_population_runs_twice(self):
-        pop = explicit_population([complete_graph(3), cycle_graph(5), extremal_omega5()])
+        pop = explicit_population([complete_graph(3), cycle(5), extremal_omega5()])
         first = run_verification(pop, checks=VALID_CHECKS).to_json()
         assert json.loads(first)["graphs"] == 3
         assert run_verification(pop, checks=VALID_CHECKS).to_json() == first
@@ -317,8 +312,8 @@ class TestRunVerification:
         monkeypatch.setattr(corpus, "chi_via_matching", lambda g: (99, ()))
         monkeypatch.setattr(corpus, "chromatic_exact", lambda g: (98, ()))
         monkeypatch.setattr(corpus, "_crosscheck_selected", lambda g: True)
-        monkeypatch.setattr(corpus, "check_lemma1", lambda g, dec: Lemma1Report(
-            (("1.6", PropertyVerdict(FAILS, (5, 6))),)))
+        monkeypatch.setattr(corpus, "check_lemma1", lambda g, dec: {
+            "properties": {"1.6": {"status": "fails", "witness": [5, 6]}}})
 
         def records(line, bound):
             return [
@@ -344,6 +339,18 @@ class TestRunVerification:
             assert report.violations == expected, chunk_size
             assert report.oracle == {"checked": 2, "disagreements": 2}
             assert [row["violations"] for row in report.omega_histogram.values()] == [1, 1]
+
+    def test_empty_graphs_on_zero_and_one_vertex(self):
+        # The 0-vertex graph has omega = 0, where f is undefined; its row
+        # records bound 0, as the invariants report does.
+        report = run_verification(explicit_population([empty_graph(0), empty_graph(1)]),
+                                  checks=VALID_CHECKS)
+        assert report.members == 2
+        d = json.loads(report.to_json())
+        assert d["omega_histogram"] == {
+            "0": {"count": 1, "max_chi": 0, "bound": 0, "violations": 0},
+            "1": {"count": 1, "max_chi": 1, "bound": 1, "violations": 0}}
+        assert d["violations"] == []
 
     def test_disconnected_members_flagged(self):
         # Two disjoint triangles: complement is bipartite, so this is a

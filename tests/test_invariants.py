@@ -9,13 +9,9 @@ from chibound.invariants import (ExactLimitError, bound_f,
                                  chi_via_matching, chromatic_exact,
                                  clique_number, compute_invariants, max_clique,
                                  max_matching)
-from chibound.constructions import extremal_omega5
+from chibound.constructions import cycle, extremal_omega5
 from oracles import (bf_chromatic, bf_max_clique, bf_max_matching,
                      has_augmenting_path, petersen, random_graph)
-
-
-def cycle_graph(k):
-    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 class TestMaxClique:
@@ -24,7 +20,7 @@ class TestMaxClique:
         assert size == 5 and clique == 0b11111
 
     def test_join_of_pentagons(self):
-        assert clique_number(join(cycle_graph(5), cycle_graph(5))) == 4
+        assert clique_number(join(cycle(5), cycle(5))) == 4
 
     def test_omega5_table_graph(self):
         assert clique_number(extremal_omega5()) == 5
@@ -51,11 +47,11 @@ class TestMaxClique:
 
 class TestChromaticExact:
     def test_c5(self):
-        chi, coloring = chromatic_exact(cycle_graph(5))
+        chi, coloring = chromatic_exact(cycle(5))
         assert chi == 3
 
     def test_join_of_pentagons(self):
-        chi, _ = chromatic_exact(join(cycle_graph(5), cycle_graph(5)))
+        chi, _ = chromatic_exact(join(cycle(5), cycle(5)))
         assert chi == 6
 
     def test_omega5_table_graph(self):
@@ -80,7 +76,7 @@ class TestChromaticExact:
 
 class TestMaxMatching:
     def test_c5(self):
-        assert max_matching(cycle_graph(5))[0] == 2
+        assert max_matching(cycle(5))[0] == 2
 
     def test_k4_perfect(self):
         assert max_matching(complete_graph(4))[0] == 2
@@ -111,17 +107,17 @@ class TestChiViaMatching:
             assert chi_via_matching(complete_graph(n))[0] == n
 
     def test_c5(self):
-        chi, coloring = chi_via_matching(cycle_graph(5))
+        chi, coloring = chi_via_matching(cycle(5))
         assert chi == 3
-        for u, v in cycle_graph(5).edges():
+        for u, v in cycle(5).edges():
             assert coloring[u] != coloring[v]
 
     def test_join_of_pentagons(self):
-        assert chi_via_matching(join(cycle_graph(5), cycle_graph(5)))[0] == 6
+        assert chi_via_matching(join(cycle(5), cycle(5)))[0] == 6
 
     def test_refuses_independent_triple(self):
         with pytest.raises(ValueError, match="independent triple"):
-            chi_via_matching(cycle_graph(6))
+            chi_via_matching(cycle(6))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 7), st.randoms(use_true_random=False))
@@ -159,7 +155,7 @@ class TestReports:
             assert r["omega"] <= r["chi"] <= r["delta"] + 1
 
     def test_json_field_names(self):
-        d = compute_invariants(cycle_graph(5))
+        d = compute_invariants(cycle(5))
         assert list(d) == ["n", "omega", "chi", "delta", "bound", "tight",
                            "clique", "coloring"]
         assert json.dumps(d)  # serializable
@@ -177,7 +173,7 @@ class TestReports:
         real = inv.max_clique
         monkeypatch.setattr(inv, "max_clique",
                             lambda g, *a: calls.append(g) or real(g, *a))
-        g = cycle_graph(7)
+        g = cycle(7)
         assert compute_invariants(g)["chi"] == 3
         assert len(calls) == 1
 
@@ -189,6 +185,6 @@ class TestReports:
             assert chromatic_exact(g, max_clique(g)) == chromatic_exact(g)
 
     def test_forced_engines_agree(self):
-        g = cycle_graph(5)
+        g = cycle(5)
         assert compute_invariants(g, engine="exact")["chi"] == \
                compute_invariants(g, engine="matching")["chi"] == 3

@@ -9,13 +9,10 @@ from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
                                check_membership, complement_oracle_check,
                                find_3K1, find_forbidden_5pattern,
                                is_class_member, witness_is_valid)
+from chibound.constructions import cycle
 from chibound.corpus import iter_all_graphs
 from oracles import (bf_has_5pattern, bf_independent_triple, petersen,
                      random_graph, triangle_free_complement)
-
-
-def cycle_graph(k):
-    return from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def pattern_graph():
@@ -27,7 +24,7 @@ class TestFind3K1:
         assert find_3K1(complete_graph(3)) is None
 
     def test_c6_alternating(self):
-        w = find_3K1(cycle_graph(6))
+        w = find_3K1(cycle(6))
         assert w == PatternWitness(THREE_K1, (0, 2, 4))
 
     def test_petersen(self):
@@ -59,10 +56,10 @@ class TestFind5Pattern:
         assert witness_is_valid(g, w)
 
     def test_c5_absent(self):
-        assert find_forbidden_5pattern(cycle_graph(5)) is None
+        assert find_forbidden_5pattern(cycle(5)) is None
 
     def test_wheel_absent_brute_force(self):
-        w6 = join(complete_graph(1), cycle_graph(5))
+        w6 = join(complete_graph(1), cycle(5))
         assert find_forbidden_5pattern(w6) is None
         assert not bf_has_5pattern(w6)
 
@@ -70,7 +67,7 @@ class TestFind5Pattern:
         # Established computationally: the pattern embeds across the join
         # (independent pair from one factor, edge plus far vertex from the
         # other), so this graph is outside the class.
-        g = join(cycle_graph(5), cycle_graph(5))
+        g = join(cycle(5), cycle(5))
         w = find_forbidden_5pattern(g)
         assert w is not None
         assert witness_is_valid(g, w)
@@ -136,7 +133,7 @@ class TestMembership:
         assert check_membership(complete_graph(n)) is None
 
     def test_c6_excluded_with_triple(self):
-        w = check_membership(cycle_graph(6))
+        w = check_membership(cycle(6))
         assert w is not None and w.kind == THREE_K1
 
     def test_pattern_graph_excluded(self):
@@ -182,11 +179,11 @@ class TestMembership:
 
     def test_complement_of_c5_is_member(self):
         from chibound.graphs import complement
-        assert complement_oracle_check(cycle_graph(5))
-        assert is_class_member(complement(cycle_graph(5)))
+        assert complement_oracle_check(cycle(5))
+        assert is_class_member(complement(cycle(5)))
 
     def test_complement_of_c6_excluded(self):
-        assert not complement_oracle_check(cycle_graph(6))
+        assert not complement_oracle_check(cycle(6))
 
     @settings(max_examples=80, deadline=None)
     @given(st.randoms(use_true_random=False))
