@@ -129,10 +129,13 @@ def cmd_corpus(args) -> int:
 
 
 def _job_count(text: str) -> int:
-    """--jobs: at least 1; more workers than CPUs are not started."""
+    """--jobs: at least 1; more workers than the CPUs this process may run
+    on are not started."""
     jobs = int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
     return min(jobs, os.cpu_count() or 1)
 
 
@@ -178,7 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checks", default="bound",
                    help=f"comma list from {','.join(VALID_CHECKS)}")
     p.add_argument("--jobs", type=_job_count, default=1,
-                   help="worker processes, at most the CPU count")
+                   help="worker processes, at most the CPUs this process may run on")
     p.add_argument("--dump-violations", metavar="PATH",
                    help="write violating graph6 lines to a file")
     p.set_defaults(func=cmd_corpus)

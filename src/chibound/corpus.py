@@ -10,6 +10,7 @@ reported value.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import json
@@ -32,7 +33,7 @@ SAMPLE_MIN_N = 8
 SAMPLE_MAX_N = 14
 GIVE_UP_WINDOW = 20000
 GIVE_UP_RATE = 0.001
-CHUNK_SIZE = 4096  # graphs per worker task
+CHUNK_SIZE = 256  # graphs per worker task
 
 
 def _check_sample_size(n: int, count: int) -> None:
@@ -353,6 +354,21 @@ def validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return checks_t
 
 
+def _in_order(pool, jobs: int, func: Callable, chunks: Iterator) -> Iterator:
+    """func(chunk) for each chunk, computed on pool, yielded in stream order.
+
+    The calling thread pulls the chunks, so the stream (the sampler, say)
+    runs there while the workers check earlier chunks; at most 2 * jobs
+    chunks are in flight, which bounds the graphs held ahead of the merge."""
+    pending: collections.deque = collections.deque()
+    for chunk in chunks:
+        pending.append(pool.apply_async(func, (chunk,)))
+        if len(pending) == 2 * jobs:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
 def run_verification(population: Population,
                      checks: Iterable[str] = ("bound",),
                      jobs: int = 1) -> CorpusReport:
@@ -361,15 +377,14 @@ def run_verification(population: Population,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     total = CorpusReport(population.descriptor(), checks_t)
     stream = population.stream()
-    # Chunks are copied into tuples of their final size: a tuple grown from
-    # islice is reallocated in the pool's task-handler thread, whose malloc
-    # arena then keeps the freed pages (sample14 peak RSS +7%).
-    chunks = iter(lambda: tuple([*islice(stream, CHUNK_SIZE)]), ())
+    chunks = iter(lambda: tuple(islice(stream, CHUNK_SIZE)), ())
+    func = functools.partial(_run_chunk, checks=checks_t)
     with contextlib.ExitStack() as stack:
-        mapper = map
+        parts = map(func, chunks)
         if jobs > 1:
             import multiprocessing
-            mapper = stack.enter_context(multiprocessing.Pool(jobs)).imap
-        for part in mapper(functools.partial(_run_chunk, checks=checks_t), chunks):
+            pool = stack.enter_context(multiprocessing.Pool(jobs))
+            parts = _in_order(pool, jobs, func, chunks)
+        for part in parts:
             total.merge(part)
     return total

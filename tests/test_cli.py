@@ -294,6 +294,9 @@ class TestCorpus:
          "9796b5b7d34a711493a2524891ac3d3db402e7d9ce8572e818d626eb4d716812"),
         (("sample", "14", "2000", "42", "--checks", "bound,lemma2"),
          "1be9cedc39d2a1a3a0d02553c0ef1462086a54f42e9f713dd981eb4daf7870ed"),
+        # Eight chunks through the jobs=2 in-flight window: the same bytes.
+        (("sample", "14", "2000", "42", "--checks", "bound,lemma2", "--jobs", "2"),
+         "1be9cedc39d2a1a3a0d02553c0ef1462086a54f42e9f713dd981eb4daf7870ed"),
     ])
     def test_report_bytes_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "corpus", *argv)
@@ -349,7 +352,7 @@ class TestCorpus:
         assert exc.value.code == 1
         assert f"must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+    def jobs_passed(self, capsys, monkeypatch, jobs):
         seen = []
         real = cli.run_verification
 
@@ -358,6 +361,16 @@ class TestCorpus:
             return real(population, checks, jobs=1)
 
         monkeypatch.setattr(cli, "run_verification", record)
-        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--jobs", "100000")
+        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--jobs", jobs)
         assert code == 0
-        assert seen == [os.cpu_count()]
+        return seen
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        # Without CPU affinity (as on macOS and Windows), the host's count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert self.jobs_passed(capsys, monkeypatch, "100000") == [os.cpu_count()]
+
+    def test_jobs_clamped_to_cpus_this_process_may_use(self, capsys, monkeypatch):
+        # As under `taskset -c 0` on a host with more CPUs.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.jobs_passed(capsys, monkeypatch, "8") == [1]

@@ -1,11 +1,13 @@
 import json
+import multiprocessing
 import random
+import threading
 
 import pytest
 
 from chibound import corpus
 from chibound.constructions import cycle, extremal_omega5, wheel6
-from chibound.corpus import (VALID_CHECKS, CorpusReport, enumerate_class,
+from chibound.corpus import (VALID_CHECKS, CorpusReport, Population, enumerate_class,
                              exhaustive_population, explicit_population,
                              graph_from_edge_mask, iter_all_graphs,
                              run_verification, sample_class,
@@ -361,3 +363,71 @@ class TestRunVerification:
         report = run_verification(explicit_population([g]), checks=("bound",))
         assert report.disconnected_members == 1
         assert report.violations == []
+
+
+class TestPool:
+    """run_verification at jobs > 1: the parent pulls the stream and keeps a
+    bounded window of chunks in flight."""
+
+    def test_stream_runs_on_the_main_thread(self):
+        threads = set()
+
+        def stream():
+            for g in iter_all_graphs(4):
+                threads.add(threading.current_thread())
+                yield g
+
+        report = run_verification(Population(dict, stream), jobs=2)
+        assert report.graphs == 64
+        assert threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_graphs_in_flight_bounded(self, monkeypatch, jobs):
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 1)
+        merged = 0
+        real_merge = CorpusReport.merge
+
+        def merge(self, part):
+            nonlocal merged
+            real_merge(self, part)
+            merged += part.graphs
+
+        monkeypatch.setattr(CorpusReport, "merge", merge)
+        graphs = list(iter_all_graphs(5))[:100]
+        ahead = []
+
+        def stream():
+            for pulled, g in enumerate(graphs, 1):
+                ahead.append(pulled - merged)
+                yield g
+
+        report = run_verification(Population(dict, stream), jobs=jobs)
+        assert (report.graphs, merged) == (100, 100)
+        # The window fills, so the workers have work while the parent pulls.
+        assert 2 * jobs <= max(ahead) <= (2 * jobs + 1) * corpus.CHUNK_SIZE
+
+    def test_stream_error_surfaces_and_stops_the_pool(self, monkeypatch):
+        # Every window falls short of the rate, so the sampler gives up after
+        # 600 members: 37 chunks have gone to the workers by then.
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 16)
+        monkeypatch.setattr(corpus, "GIVE_UP_WINDOW", 600)
+        monkeypatch.setattr(corpus, "GIVE_UP_RATE", 2)
+        with pytest.raises(RuntimeError) as exc:
+            run_verification(sample_population(8, 10**6, 1), jobs=2)
+        assert str(exc.value) == (
+            "sampler giving up at n=8: 600 acceptances in the last 600 "
+            "attempts (600/1000000 members emitted so far)")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_surfaces_and_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(corpus, "CHUNK_SIZE", 4)
+
+        def stream():
+            yield from iter_all_graphs(4)
+            yield None  # not a graph: the worker that checks it raises
+            yield from iter_all_graphs(4)
+
+        with pytest.raises(AttributeError) as exc:
+            run_verification(Population(dict, stream), jobs=2)
+        assert isinstance(exc.value.__cause__, multiprocessing.pool.RemoteTraceback)
+        assert multiprocessing.active_children() == []
