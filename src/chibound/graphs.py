@@ -313,8 +313,10 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise GraphFormatError(f"malformed edge line at line {lineno}")
             u, v = (x - 1 for x in _dimacs_ints(parts[1:], lineno))
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge out of range at line {lineno}")
+            if u == v:
+                raise GraphFormatError(f"loop at line {lineno}")
             edges.append((u, v))
         else:
             raise GraphFormatError(f"unrecognized line type {parts[0]!r} at line {lineno}")

@@ -21,7 +21,10 @@ class ExactLimitError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Maximum clique: bitset branch and bound with greedy-coloring upper bound.
+# Maximum clique.  Its size comes from a bitset branch and bound with a
+# greedy-coloring upper bound; the lexicographically first clique of that
+# size then comes from one depth-first search over the vertices in
+# ascending order, pruned by the same kind of bound.
 
 def _mc_expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
     if not cand:
@@ -39,17 +42,51 @@ def _mc_expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
             p ^= 1 << v
             order.append(v)
             bound.append(color)
-    prefixes = []
-    pref = 0
-    for v in order:
-        prefixes.append(pref)
-        pref |= 1 << v
+    rest = cand  # the vertices of order[:i], once order[i] is removed
     for i in range(len(order) - 1, -1, -1):
         if size + bound[i] <= best:
             return best
         v = order[i]
-        best = _mc_expand(adj, size + 1, adj[v] & prefixes[i], best)
+        rest ^= 1 << v
+        best = _mc_expand(adj, size + 1, adj[v] & rest, best)
     return best
+
+
+def _first_clique(adj: tuple[int, ...], cand: int, need: int) -> int:
+    """Mask of the clique of ``need`` >= 1 vertices inside cand whose
+    ascending vertex list is lexicographically smallest, or 0 if none.
+
+    Each vertex is included before it is excluded, and vertices are taken in
+    ascending order, so vertex sets of one size are met in lexicographic
+    order and the first clique found is the smallest.  The bound: color cand
+    greedily one class at a time, each class started from its highest
+    vertex.  A clique among v and the later vertices meets only the classes
+    whose highest vertex is at least v, so v is the last vertex worth trying
+    when it passes the highest vertex of class ``need``.
+    """
+    if need == 1:
+        return cand & -cand
+    p = cand
+    for _ in range(need):
+        if not p:
+            return 0
+        last = p.bit_length() - 1  # this class's highest vertex
+        avail = p
+        while avail:
+            v = avail.bit_length() - 1
+            avail &= ~adj[v] & ~(1 << v)
+            p ^= 1 << v
+    rest = cand
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        if v > last:
+            return 0
+        rest ^= low
+        found = _first_clique(adj, rest & adj[v], need - 1)
+        if found:
+            return found | low
+    return 0
 
 
 def clique_number(g: Graph) -> int:
@@ -60,16 +97,8 @@ def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
     """(size, vertex mask) of the lexicographically smallest maximum clique
     of g, or of its subgraph induced on the vertex mask ``within``."""
     cand = g.full_mask if within is None else within
-    size = need = _mc_expand(g.adj, 0, cand, 0)
-    clique = 0
-    while need > 0:
-        for v in bits(cand):
-            if _mc_expand(g.adj, 0, cand & g.adj[v], 0) >= need - 1:
-                clique |= 1 << v
-                cand &= g.adj[v]
-                need -= 1
-                break
-    return size, clique
+    size = _mc_expand(g.adj, 0, cand, 0)
+    return size, _first_clique(g.adj, cand, size) if size else 0
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +110,13 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     neighbor_colors = [0] * n  # bitmask of colors seen on neighbors
     degrees = [g.degree(v) for v in range(n)]
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (neighbor_colors[u].bit_count(), degrees[u], -u),
-        )
+        v = -1
+        v_key = None
+        for u in range(n):
+            if colors[u] == -1:
+                key = (neighbor_colors[u].bit_count(), degrees[u], -u)
+                if v_key is None or key > v_key:
+                    v, v_key = u, key
         c = 0
         while neighbor_colors[v] >> c & 1:
             c += 1
@@ -299,7 +331,7 @@ def compute_invariants(g: Graph, engine: str = "auto") -> dict:
         "chi": chi,
         "delta": g.max_degree(),
         "bound": bound,
-        "tight": chi == bound,
+        "tight": omega >= 1 and chi == bound,
         "clique": list(bits(clique)),
         "coloring": list(coloring),
     }

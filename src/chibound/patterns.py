@@ -94,8 +94,9 @@ def _iter_5pattern_roles(g: Graph):
 
     Every occurrence has a unique non-adjacent pair {u1, u2} joined to all
     of {a, b, c}, with ab the only edge among {a, b, c}; so scanning
-    non-adjacent pairs and edges inside their common neighborhood is
-    exhaustive.
+    non-adjacent pairs, then each c in their common neighbourhood C, then
+    the edges ab among the vertices of C that c misses, is exhaustive.  Only
+    a c that misses two vertices of C can take part.
     """
     adj = g.adj
     full = g.full_mask
@@ -103,11 +104,12 @@ def _iter_5pattern_roles(g: Graph):
         non_u1 = ~adj[u1] & full & ~((1 << (u1 + 1)) - 1)
         for u2 in bits(non_u1):
             common = adj[u1] & adj[u2]
-            for a in bits(common):
-                for b in bits(common & adj[a] & ~((1 << (a + 1)) - 1)):
-                    cmask = common & ~adj[a] & ~adj[b] & ~(1 << a) & ~(1 << b)
-                    for c in bits(cmask):
-                        yield (u1, u2, a, b, c)
+            for c in bits(common):
+                miss = common & ~adj[c] & ~(1 << c)
+                if miss & (miss - 1):
+                    for a in bits(miss):
+                        for b in bits(miss & adj[a] & ~((1 << (a + 1)) - 1)):
+                            yield (u1, u2, a, b, c)
 
 
 def find_forbidden_5pattern(g: Graph) -> Optional[PatternWitness]:

@@ -1,7 +1,9 @@
-"""Independent brute-force oracles used to validate the solvers.
+"""Independent oracles used to validate the solvers.
 
-Everything here is deliberately naive (subset enumeration, permutation
-scans, exhaustive recursion) and shares no code path with the package
+The brute-force oracles (``bf_*``) are deliberately naive (subset
+enumeration, permutation scans, exhaustive recursion).  The references are
+the slower versions of the package's fast paths, kept as they were before
+those were replaced.  Neither shares a code path with the package
 implementations it checks.
 """
 from __future__ import annotations
@@ -190,6 +192,121 @@ def bf_max_clique(g: Graph) -> int:
             if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
                 return size
     return best
+
+
+def bf_lex_first_max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
+    """(size, mask) of the maximum clique of g, or of the subgraph induced on
+    ``within``, whose ascending vertex list comes first: ``combinations`` of
+    the ascending vertex list, from the largest size down."""
+    verts = [v for v in range(g.n) if within is None or within >> v & 1]
+    for size in range(len(verts), 0, -1):
+        for sub in combinations(verts, size):
+            if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+                return size, sum(1 << v for v in sub)
+    return 0, 0
+
+
+def bf_min_5pattern_roles(g: Graph):
+    """The (u1, u2, a, b, c) roles of the 5-pattern smallest under
+    ``(sorted(r), r)``, or None: every 5-subset in lexicographic order, and
+    each of its role assignments in lexicographic order, checked against
+    PATTERN_EDGES."""
+    for sub in combinations(range(g.n), 5):
+        for roles in permutations(sub):
+            if all(g.has_edge(roles[i], roles[j]) == ((i, j) in PATTERN_EDGES)
+                   for i, j in combinations(range(5), 2)):
+                return roles
+    return None
+
+
+# References for the engines' fast paths: the versions they replaced,
+# kept as they were.
+
+def mc_expand_prefixes(adj, size: int, cand: int, best: int) -> int:
+    """Reference for ``invariants._mc_expand``: the candidates before
+    position i of the coloring order are read from a list of prefix masks."""
+    if not cand:
+        return max(best, size)
+    order: list[int] = []
+    bound: list[int] = []
+    p = cand
+    color = 0
+    while p:
+        color += 1
+        avail = p
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~adj[v] & ~(1 << v)
+            p ^= 1 << v
+            order.append(v)
+            bound.append(color)
+    prefixes = []
+    pref = 0
+    for v in order:
+        prefixes.append(pref)
+        pref |= 1 << v
+    for i in range(len(order) - 1, -1, -1):
+        if size + bound[i] <= best:
+            return best
+        v = order[i]
+        best = mc_expand_prefixes(adj, size + 1, adj[v] & prefixes[i], best)
+    return best
+
+
+def max_clique_by_reconstruction(g: Graph, within: int | None = None) -> tuple[int, int]:
+    """Reference for ``invariants.max_clique``: omega first, then the clique
+    rebuilt one vertex at a time, each the smallest whose common
+    neighbourhood with the vertices kept so far still holds a clique of the
+    size still needed, found by a full branch and bound per try."""
+    cand = g.full_mask if within is None else within
+    size = need = mc_expand_prefixes(g.adj, 0, cand, 0)
+    clique = 0
+    while need > 0:
+        for v in bits_generator(cand):
+            if mc_expand_prefixes(g.adj, 0, cand & g.adj[v], 0) >= need - 1:
+                clique |= 1 << v
+                cand &= g.adj[v]
+                need -= 1
+                break
+    return size, clique
+
+
+def iter_5pattern_roles_edge_first(g: Graph):
+    """Reference for ``patterns._iter_5pattern_roles``: for each
+    non-adjacent pair, every edge ab inside the common neighbourhood, then
+    every c there that misses both a and b."""
+    adj = g.adj
+    full = g.full_mask
+    for u1 in range(g.n - 1):
+        non_u1 = ~adj[u1] & full & ~((1 << (u1 + 1)) - 1)
+        for u2 in bits_generator(non_u1):
+            common = adj[u1] & adj[u2]
+            for a in bits_generator(common):
+                for b in bits_generator(common & adj[a] & ~((1 << (a + 1)) - 1)):
+                    cmask = common & ~adj[a] & ~adj[b] & ~(1 << a) & ~(1 << b)
+                    for c in bits_generator(cmask):
+                        yield (u1, u2, a, b, c)
+
+
+def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
+    """Reference for ``invariants._dsatur_greedy``: each pick is ``max()``
+    over the uncoloured vertices with the key (saturation, degree, -u)."""
+    n = g.n
+    colors = [-1] * n
+    neighbor_colors = [0] * n
+    degrees = [g.degree(v) for v in range(n)]
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] == -1),
+            key=lambda u: (neighbor_colors[u].bit_count(), degrees[u], -u),
+        )
+        c = 0
+        while neighbor_colors[v] >> c & 1:
+            c += 1
+        colors[v] = c
+        for u in bits_generator(g.adj[v]):
+            neighbor_colors[u] |= 1 << c
+    return colors
 
 
 def petersen() -> Graph:

@@ -18,7 +18,7 @@ from chibound import corpus
 from chibound.corpus import enumerate_class, sample_class
 from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
                              serialize_graph6)
-from oracles import random_graph
+from oracles import random_graph, triangle_free_complement
 
 
 def cycle6():
@@ -111,6 +111,12 @@ class TestInvariants:
         assert (d["n"], d["omega"], d["chi"], d["bound"], d["tight"]) == \
                (5, 2, 3, 3, True)
 
+    def test_null_graph_not_tight(self, capsys):
+        code, out, err = run(capsys, "invariants", "?")
+        assert code == 0
+        assert out == ('{"n": 0, "omega": 0, "chi": 0, "delta": 0, "bound": 0, '
+                       '"tight": false, "clique": [], "coloring": []}\n')
+
     def test_forced_engines(self, capsys):
         for flag in ("--exact", "--matching"):
             code, out, err = run(capsys, "invariants", c5(), flag)
@@ -164,6 +170,16 @@ def pinned_stream() -> str:
     return "".join(serialize_graph6(g) + "\n" for g in graphs)
 
 
+def dense_stream() -> str:
+    """60 G(n, p) graphs with n from 10 to 20 and p from 0.5 to 0.95, then
+    20 complements of maximal triangle-free graphs with n from 9 to 14."""
+    rng = random.Random(2014)
+    graphs = [random_graph(rng.randint(10, 20), rng.uniform(0.5, 0.95), rng)
+              for _ in range(60)]
+    graphs += [triangle_free_complement(rng.randint(9, 14), rng) for _ in range(20)]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
 class TestPerGraphBytes:
     # The sha256 of each pass's stdout over one fixed stream: every record,
     # decompose's error records for graphs without a partitioning pair
@@ -175,6 +191,19 @@ class TestPerGraphBytes:
     ])
     def test_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
         got, out, err = run(capsys, cmd, "-", stdin=pinned_stream(),
+                            monkeypatch=monkeypatch)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # The same over dense_stream(), where most lines are non-members with a
+    # witness to find and omega runs up to 14.
+    @pytest.mark.parametrize("cmd, code, digest", [
+        ("check", 2, "5e3beb6fe50352faf0c028fe551b96c9103651f88ee3804b9cd6e51d04edf3a7"),
+        ("invariants", 0, "b5d5f475a8669d489fea4594e2450b79da526ca8b24acd9e9b697f4ed4d39d7b"),
+        ("decompose", 1, "2c4796bc4686d5ed51a791c974e8b75cee73c74c2bb4e7b77ff967956eeb7208"),
+    ])
+    def test_dense_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
+        got, out, err = run(capsys, cmd, "-", stdin=dense_stream(),
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest

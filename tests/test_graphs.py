@@ -269,6 +269,16 @@ class TestDimacs:
         with pytest.raises(GraphFormatError):
             parse_dimacs("p edge 3 1\ne 1 9\n")
 
+    @pytest.mark.parametrize("edge, message", [
+        ("e 1 9", "edge out of range at line 2"),
+        ("e 0 2", "edge out of range at line 2"),
+        ("e 4 4", "edge out of range at line 2"),
+        ("e 1 1", "loop at line 2"),
+    ])
+    def test_bad_edge_located(self, edge, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_dimacs(f"p edge 3 1\n{edge}\n")
+
     @pytest.mark.parametrize("text, field", [
         ("c header next\np edge x 1\n", "x"),
         ("p edge 3 1\ne 1 z\n", "z"),

@@ -3,15 +3,23 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
                              induced_subgraph, join)
-from chibound.invariants import (ExactLimitError, bound_f,
+from chibound.invariants import (ExactLimitError, _dsatur_greedy, bound_f,
                                  chi_via_matching, chromatic_exact,
                                  clique_number, compute_invariants, max_clique,
                                  max_matching)
 from chibound.constructions import cycle, extremal_omega5
-from oracles import (bf_chromatic, bf_max_clique, bf_max_matching,
-                     has_augmenting_path, petersen, random_graph)
+from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
+                     bf_max_matching, dsatur_greedy_max_keyed,
+                     has_augmenting_path, max_clique_by_reconstruction,
+                     petersen, random_graph)
+
+# Random graphs for the reference cross-checks: n <= 24, p from 0.2 to 0.95.
+_dense_graphs = st.builds(
+    lambda n, p, rng: random_graph(n, p, rng),
+    st.integers(0, 24), st.floats(0.2, 0.95), st.randoms(use_true_random=False))
 
 
 class TestMaxClique:
@@ -43,6 +51,53 @@ class TestMaxClique:
         assert len(members) == size
         sub = induced_subgraph(g, clique)
         assert sub.edge_count() == size * (size - 1) // 2
+
+
+class TestMaxCliqueAgainstReferences:
+    """The one ordered search against the per-vertex reconstruction it
+    replaced, and against brute force."""
+
+    def test_every_graph_up_to_5_under_every_mask(self):
+        for n in range(6):
+            for g in iter_all_graphs(n):
+                for within in range(1 << n):
+                    want = max_clique_by_reconstruction(g, within)
+                    assert max_clique(g, within) == want
+                    assert bf_lex_first_max_clique(g, within) == want
+
+    def test_every_graph_on_6(self):
+        for g in iter_all_graphs(6):
+            assert max_clique(g) == max_clique_by_reconstruction(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_graphs, st.randoms(use_true_random=False))
+    def test_random_graphs_and_masks(self, g, rng):
+        within = rng.getrandbits(g.n)
+        assert max_clique(g) == max_clique_by_reconstruction(g)
+        assert max_clique(g, within) == max_clique_by_reconstruction(g, within)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 9), st.floats(0.2, 0.95),
+           st.randoms(use_true_random=False))
+    def test_lex_first_against_brute_force(self, n, p, rng):
+        g = random_graph(n, p, rng)
+        within = rng.getrandbits(n)
+        assert max_clique(g) == bf_lex_first_max_clique(g)
+        assert max_clique(g, within) == bf_lex_first_max_clique(g, within)
+
+
+class TestDsaturGreedy:
+    """The plain-loop pick against the ``max()``-keyed pick it replaced."""
+
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert _dsatur_greedy(g) == dsatur_greedy_max_keyed(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_graphs)
+    def test_random_graphs(self, g):
+        assert _dsatur_greedy(g) == dsatur_greedy_max_keyed(g)
 
 
 class TestChromaticExact:

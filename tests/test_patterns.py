@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 from chibound.graphs import (complete_graph, empty_graph, from_edges,
                              induced_subgraph, join, relabel)
 from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
-                               check_membership, complement_oracle_check,
-                               find_3K1, find_forbidden_5pattern,
-                               is_class_member, witness_is_valid)
+                               _iter_5pattern_roles, check_membership,
+                               complement_oracle_check, find_3K1,
+                               find_forbidden_5pattern, is_class_member,
+                               witness_is_valid)
 from chibound.constructions import cycle
 from chibound.corpus import iter_all_graphs
-from oracles import (bf_has_5pattern, bf_independent_triple, petersen,
-                     random_graph, triangle_free_complement)
+from oracles import (bf_has_5pattern, bf_independent_triple,
+                     bf_min_5pattern_roles, iter_5pattern_roles_edge_first,
+                     petersen, random_graph, triangle_free_complement)
 
 
 def pattern_graph():
@@ -81,6 +83,45 @@ class TestFind5Pattern:
         assert (w is not None) == bf_has_5pattern(g)
         if w is not None:
             assert witness_is_valid(g, w)
+
+
+def same_roles_as_reference(g) -> bool:
+    """The c-first role tuples are the edge-first reference's, and the
+    witness is the smallest of them under (sorted(r), r)."""
+    roles = list(_iter_5pattern_roles(g))
+    want = list(iter_5pattern_roles_edge_first(g))
+    if sorted(roles) != sorted(want) or len(set(roles)) != len(roles):
+        return False
+    w = find_forbidden_5pattern(g)
+    smallest = min(want, key=lambda r: (sorted(r), r), default=None)
+    return (w.roles if w is not None else None) == smallest
+
+
+class TestRolesAgainstReference:
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert same_roles_as_reference(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(5, 16), st.floats(0.2, 0.95),
+           st.randoms(use_true_random=False))
+    def test_random_graphs(self, n, p, rng):
+        assert same_roles_as_reference(random_graph(n, p, rng))
+
+    def test_sampler_candidates(self):
+        # No 3K1, many 5-patterns: the roles the witness search walks most.
+        for seed in range(60):
+            g = triangle_free_complement(8 + seed % 9, random.Random(seed))
+            assert same_roles_as_reference(g), seed
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(5, 9), st.floats(0.3, 0.9),
+           st.randoms(use_true_random=False))
+    def test_witness_is_brute_force_minimum(self, n, p, rng):
+        g = random_graph(n, p, rng)
+        w = find_forbidden_5pattern(g)
+        assert (w.roles if w is not None else None) == bf_min_5pattern_roles(g)
 
 
 # pattern_graph()'s edges: u1 = 0 and u2 = 1 joined to the edge ab = 23 and to c = 4.
