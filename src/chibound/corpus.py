@@ -76,6 +76,13 @@ def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple, ...]:
 # list in place, so every call compares its pairs with the copy.
 _edge_memo: tuple = (-1, (), ())
 
+# graph_from_edge_mask builds each Graph by filling its two slots directly:
+# the frozen dataclass __init__ sets them through two object.__setattr__
+# calls, which nearly doubles the cost of a Graph.
+_new_graph = object.__new__
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
+
 
 def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
     """The graph on n <= 8 vertices with the edges pairs[i] for the set bits
@@ -91,7 +98,10 @@ def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) ->
     for table in tables:
         packed |= table[mask & 255]
         mask >>= 8
-    return Graph(n, tuple(packed.to_bytes(n, "little")))
+    g = _new_graph(Graph)
+    _set_n(g, n)
+    _set_adj(g, tuple(packed.to_bytes(n, "little")))
+    return g
 
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
@@ -270,18 +280,9 @@ def _add_counts(total: dict, part: dict) -> None:
             total[key] += value
 
 
-def _check_graph(g: Graph, report: CorpusReport) -> None:
+def _check_member(g: Graph, report: CorpusReport) -> None:
+    """The checks that only class members get."""
     checks = report.checks
-    report.graphs += 1
-    member = is_class_member(g)
-    if "oracle" in checks:
-        report.oracle["checked"] += 1
-        if complement_oracle_check(g) != member:
-            report.oracle["disagreements"] += 1
-            report.add_violation(
-                "oracle", g, f"direct={member}, complement oracle={not member}")
-    if not member:
-        return
     report.members += 1
     connected = is_connected(g)
     if not connected:
@@ -336,9 +337,23 @@ def _crosscheck_selected(g: Graph) -> bool:
 
 
 def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusReport:
+    """The report of one chunk.  The graph counts are added once; each graph
+    is decided, cross-checked by the complement oracle if asked, and only
+    members go on to _check_member.  The deciders are called as this
+    module's globals, which a tracer may have wrapped."""
     report = CorpusReport(None, checks)
+    report.graphs = len(graphs)
+    oracle = report.oracle
+    if oracle is not None:
+        oracle["checked"] = len(graphs)
     for g in graphs:
-        _check_graph(g, report)
+        member = is_class_member(g)
+        if oracle is not None and complement_oracle_check(g) != member:
+            oracle["disagreements"] += 1
+            report.add_violation(
+                "oracle", g, f"direct={member}, complement oracle={not member}")
+        if member:
+            _check_member(g, report)
     return report
 
 

@@ -127,14 +127,9 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def complement_rows(g: Graph) -> list[int]:
-    """The adjacency rows of the complement of g, without building a Graph."""
-    full = g.full_mask
-    return [(full ^ (1 << v)) & ~a for v, a in enumerate(g.adj)]
-
-
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, tuple(complement_rows(g)))
+    full = g.full_mask
+    return Graph(g.n, tuple([(full ^ (1 << v)) & ~a for v, a in enumerate(g.adj)]))
 
 
 def join(g: Graph, h: Graph) -> Graph:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, bits, complement_rows
+from .graphs import Graph, bits
 
 THREE_K1 = "ThreeK1"
 TWO_K1_JOIN_K2_K1 = "TwoK1JoinK2K1"
@@ -137,24 +137,28 @@ def is_class_member(g: Graph) -> bool:
     and {a, b, c} is a 3K1 if not.  Every 3K1 contains a non-adjacent pair
     with a common non-neighbour, and every 5-pattern is caught at its pair
     {u1, u2}, so nothing is missed.  No witness is built.
+
+    The rows of g.adj are read as they are: a closed neighbourhood
+    ``adj[x] | 1 << x`` is formed only for the pair or the common neighbour
+    being tested, since most non-members fall at their first pair.
     """
-    full = g.full_mask
-    closed = [a | 1 << v for v, a in enumerate(g.adj)]
-    for u1 in range(g.n - 1):
-        c1 = closed[u1]
-        later = full & ~c1 & ~((1 << (u1 + 1)) - 1)
+    adj = g.adj
+    full = (1 << g.n) - 1
+    for u1, a1 in enumerate(adj):
+        c1 = a1 | 1 << u1
+        later = (full ^ c1) >> u1 << u1  # the non-neighbours above u1
         while later:
             low = later & -later
             later ^= low
-            c2 = closed[low.bit_length() - 1]
-            if full & ~(c1 | c2):
+            a2 = adj[low.bit_length() - 1]
+            if c1 | low | a2 != full:  # a common non-neighbour
                 return False
-            common = c1 & c2
+            common = a1 & a2
             rest = common
             while rest:
                 low = rest & -rest
                 rest ^= low
-                miss = common & ~closed[low.bit_length() - 1]
+                miss = common & ~(adj[low.bit_length() - 1] | low)
                 if miss & (miss - 1):
                     return False
     return True
@@ -196,7 +200,8 @@ def _has_induced_k2_p3(h: list[int], full: int) -> bool:
 def complement_oracle_check(g: Graph) -> bool:
     """Membership verdict computed only on the complement of g, read as
     adjacency rows."""
-    h = complement_rows(g)
+    full = (1 << g.n) - 1
+    h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
     if _has_triangle(h):
         return False
-    return not _has_induced_k2_p3(h, g.full_mask)
+    return not _has_induced_k2_p3(h, full)

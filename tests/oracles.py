@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from chibound.graphs import MAX_VERTICES, Graph, GraphFormatError, from_edges
+from chibound.graphs import (MAX_VERTICES, Graph, GraphFormatError, complement,
+                             from_edges)
 
 # u1=0, u2=1, a=2, b=3, c=4
 PATTERN_EDGES = frozenset(
@@ -286,6 +287,53 @@ def iter_5pattern_roles_edge_first(g: Graph):
                     cmask = common & ~adj[a] & ~adj[b] & ~(1 << a) & ~(1 << b)
                     for c in bits_generator(cmask):
                         yield (u1, u2, a, b, c)
+
+
+def is_class_member_closed_list(g: Graph) -> bool:
+    """Reference for ``patterns.is_class_member``: the same pass over the
+    non-adjacent pairs, reading a list of every closed neighbourhood
+    ``adj[v] | 1 << v`` built before the first pair."""
+    full = g.full_mask
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    for u1 in range(g.n - 1):
+        c1 = closed[u1]
+        later = full & ~c1 & ~((1 << (u1 + 1)) - 1)
+        while later:
+            low = later & -later
+            later ^= low
+            c2 = closed[low.bit_length() - 1]
+            if full & ~(c1 | c2):
+                return False
+            common = c1 & c2
+            rest = common
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                miss = common & ~closed[low.bit_length() - 1]
+                if miss & (miss - 1):
+                    return False
+    return True
+
+
+def complement_oracle_of_graph(g: Graph) -> bool:
+    """Reference for ``patterns.complement_oracle_check``: the rows of the
+    complement Graph, searched for a triangle and then for an induced K2+P3
+    (an edge xy with no edge to a 2-path pqr, which is induced when there is
+    no triangle)."""
+    h = complement(g).adj
+    full = g.full_mask
+    for nu in h:
+        for v in bits_generator(nu):
+            if nu & h[v]:
+                return False
+    for q, nq in enumerate(h):
+        for p in bits_generator(nq):
+            for r in bits_generator(nq & ~((1 << (p + 1)) - 1)):
+                allowed = full & ~(h[p] | nq | h[r] | 1 << p | 1 << q | 1 << r)
+                for x in bits_generator(allowed):
+                    if h[x] & allowed & ~((1 << (x + 1)) - 1):
+                        return False
+    return True
 
 
 def dsatur_greedy_max_keyed(g: Graph) -> list[int]:

@@ -365,6 +365,25 @@ class TestRunVerification:
         assert report.violations == []
 
 
+class TestTracedGlobals:
+    """perfbench/tracer.py measures a layer by wrapping its function where
+    chibound.corpus looks it up; a call that bypasses that global goes
+    unmeasured without failing anything else."""
+
+    def test_every_graph_reaches_the_patched_globals(self, monkeypatch):
+        calls = {}
+        for name in ("graph_from_edge_mask", "is_class_member",
+                     "complement_oracle_check"):
+            def counted(*args, _real=getattr(corpus, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(corpus, name, counted)
+        report = run_verification(exhaustive_population(4), checks=VALID_CHECKS)
+        assert (report.graphs, report.members) == (64, 41)
+        assert calls == {"graph_from_edge_mask": 64, "is_class_member": 64,
+                         "complement_oracle_check": 64}
+
+
 class TestPool:
     """run_verification at jobs > 1: the parent pulls the stream and keeps a
     bounded window of chunks in flight."""

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              disjoint_union, empty_graph, from_edges,
                              induced_subgraph, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6)
+from chibound.corpus import graph_from_edge_mask
 from oracles import bits_generator, parse_graph6_bitwise, random_graph
 
 import random
@@ -162,6 +166,47 @@ class TestParserFuzz:
     @given(st.one_of(st.text(), st.lists(_dimacs_line, max_size=8).map("\n".join)))
     def test_dimacs(self, text):
         _parses_or_rejects(parse_dimacs, text)
+
+
+def built_graphs():
+    """One graph from each builder, the graph6 codec and from_edges."""
+    c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    pairs = [(u, v) for v in range(1, 7) for u in range(v)]
+    return [("from_edges", c5),
+            ("from_edges, no edges", from_edges(0, [])),
+            ("graph_from_edge_mask", graph_from_edge_mask(7, 0x1B873, pairs)),
+            ("complement", complement(c5)),
+            ("parse_graph6", parse_graph6("Dhc")),
+            ("parse_graph6, 64 vertices", parse_graph6(serialize_graph6(
+                random_graph(64, 0.5, random.Random(3)))))]
+
+
+class TestGraphValue:
+    """A Graph is an immutable value however it was built."""
+
+    @pytest.mark.parametrize("how, g", built_graphs())
+    def test_frozen(self, how, g):
+        for field, value in (("n", 3), ("adj", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, field, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(g, field)
+        assert not hasattr(g, "__dict__")
+
+    @pytest.mark.parametrize("how, g", built_graphs())
+    def test_equals_the_public_constructor(self, how, g):
+        public = Graph(g.n, tuple(list(g.adj)))
+        assert type(g) is Graph
+        assert g == public and hash(g) == hash(public)
+        assert repr(g) == repr(public) == f"Graph(n={g.n}, adj={g.adj!r})"
+
+    @pytest.mark.parametrize("how, g", built_graphs())
+    def test_pickle_round_trip(self, how, g):
+        # Pool workers receive and return graphs this way.
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Graph and back == g and hash(back) == hash(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.n = 3
 
 
 class TestCombinators:

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibound.graphs import (complete_graph, empty_graph, from_edges,
-                             induced_subgraph, join, relabel)
+                             induced_subgraph, join, relabel, serialize_graph6)
 from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
                                _iter_5pattern_roles, check_membership,
                                complement_oracle_check, find_3K1,
                                find_forbidden_5pattern, is_class_member,
                                witness_is_valid)
 from chibound.constructions import cycle
-from chibound.corpus import iter_all_graphs
+from chibound.corpus import graph_from_edge_mask, iter_all_graphs
 from oracles import (bf_has_5pattern, bf_independent_triple,
-                     bf_min_5pattern_roles, iter_5pattern_roles_edge_first,
+                     bf_min_5pattern_roles, complement_oracle_of_graph,
+                     is_class_member_closed_list, iter_5pattern_roles_edge_first,
                      petersen, random_graph, triangle_free_complement)
 
 
@@ -122,6 +123,39 @@ class TestRolesAgainstReference:
         g = random_graph(n, p, rng)
         w = find_forbidden_5pattern(g)
         assert (w.roles if w is not None else None) == bf_min_5pattern_roles(g)
+
+
+def same_verdicts_as_references(g) -> bool:
+    """Both deciders agree with the versions they replaced."""
+    return (is_class_member(g) == is_class_member_closed_list(g)
+            and complement_oracle_check(g) == complement_oracle_of_graph(g))
+
+
+class TestDecidersAgainstReferences:
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert same_verdicts_as_references(g), serialize_graph6(g)
+
+    def test_every_61st_graph_on_7_vertices(self):
+        pairs = [(u, v) for v in range(1, 7) for u in range(v)]
+        members = 0
+        for mask in range(0, 1 << 21, 61):
+            g = graph_from_edge_mask(7, mask, pairs)
+            assert same_verdicts_as_references(g), mask
+            members += is_class_member(g)
+        assert members > 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 24), st.floats(0.3, 0.95),
+           st.randoms(use_true_random=False))
+    def test_random_graphs(self, n, p, rng):
+        assert same_verdicts_as_references(random_graph(n, p, rng))
+
+    def test_sampler_candidates(self):
+        for seed in range(360):
+            g = triangle_free_complement(8 + seed % 9, random.Random(seed))
+            assert same_verdicts_as_references(g), seed
 
 
 # pattern_graph()'s edges: u1 = 0 and u2 = 1 joined to the edge ab = 23 and to c = 4.
