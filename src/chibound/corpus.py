@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, complement, is_connected, serialize_graph6
+from .graphs import Graph, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -135,6 +135,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     # random.shuffle's Fisher-Yates on getrandbits, inlined: the same draws,
     # so the same stream as rng.shuffle(pairs) for a seed.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_pairs) - 1, 0, -1)]
+    full = (1 << n) - 1
     emitted = 0
     attempts = 0
     window_accepts = 0
@@ -150,7 +151,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
             if not comp[u] & comp[v]:  # no common neighbor: stays triangle-free
                 comp[u] |= 1 << v
                 comp[v] |= 1 << u
-        g = complement(Graph(n, tuple(comp)))
+        g = Graph(n, tuple([(full ^ 1 << v) & ~c for v, c in enumerate(comp)]))
         attempts += 1
         if is_class_member(g):
             emitted += 1
@@ -280,35 +281,39 @@ def _add_counts(total: dict, part: dict) -> None:
             total[key] += value
 
 
-def _check_member(g: Graph, report: CorpusReport) -> None:
-    """The checks that only class members get."""
-    checks = report.checks
+def _check_member(g: Graph, report: CorpusReport, bound: bool, lemma2: bool,
+                  lemma1_rows: list | None) -> None:
+    """The checks that only class members get.  bound and lemma2 say whether
+    those checks run; lemma1_rows, when lemma1 runs, are the tally rows of
+    its properties in PROPERTY_NAMES order."""
     report.members += 1
     connected = is_connected(g)
     if not connected:
         report.disconnected_members += 1
 
-    need_invariants = "bound" in checks or "lemma2" in checks
-    if need_invariants:
+    if bound or lemma2:
         omega = clique_number(g)
         chi, _ = chi_via_matching(g)
-    if "bound" in checks:
-        bound = bound_f(omega) if omega >= 1 else 0
-        hist = report.omega_histogram.setdefault(
-            omega, {"count": 0, "max_chi": 0, "bound": bound, "violations": 0})
+    if bound:
+        hist = report.omega_histogram.get(omega)
+        if hist is None:
+            hist = report.omega_histogram[omega] = {
+                "count": 0, "max_chi": 0,
+                "bound": bound_f(omega) if omega >= 1 else 0, "violations": 0}
         hist["count"] += 1
-        hist["max_chi"] = max(hist["max_chi"], chi)
-        if chi > bound:
+        if chi > hist["max_chi"]:
+            hist["max_chi"] = chi
+        if chi > hist["bound"]:
             hist["violations"] += 1
             report.add_violation("bound", g,
-                                 f"chi={chi} exceeds f({omega})={bound}")
+                                 f"chi={chi} exceeds f({omega})={hist['bound']}")
         # Cross-check the matching engine on a deterministic 1% subsample.
         if g.n <= DEFAULT_EXACT_LIMIT and _crosscheck_selected(g):
             exact_chi, _ = chromatic_exact(g)
             if exact_chi != chi:
                 report.add_violation(
                     "engine", g, f"matching chi={chi}, exact chi={exact_chi}")
-    if "lemma2" in checks and connected and omega == 3:
+    if lemma2 and connected and omega == 3:
         report.lemma2["checked"] += 1
         problems = []
         if g.max_degree() > 5:
@@ -319,13 +324,16 @@ def _check_member(g: Graph, report: CorpusReport) -> None:
             problems.append(f"chi={chi}")
         if problems:
             report.add_violation("lemma2", g, ", ".join(problems))
-    if "lemma1" in checks:
-        for v, w in all_partitioning_pairs(g):
-            report.lemma1["pairs_checked"] += 1
+    if lemma1_rows is not None:
+        pairs = all_partitioning_pairs(g)
+        report.lemma1["pairs_checked"] += len(pairs)
+        for v, w in pairs:
             dec = decompose(g, v, w, check_class=False)
-            for name, verdict in check_lemma1(g, dec)["properties"].items():
-                report.lemma1["properties"][name][verdict["status"]] += 1
-                if verdict["status"] == FAILS:
+            verdicts = check_lemma1(g, dec)["properties"]
+            for row, (name, verdict) in zip(lemma1_rows, verdicts.items()):
+                status = verdict["status"]
+                row[status] += 1
+                if status == FAILS:
                     report.add_violation(
                         "lemma1", g, f"property {name} fails at pair ({v},{w}), "
                                      f"witness {verdict['witness']}")
@@ -346,6 +354,10 @@ def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusRepo
     oracle = report.oracle
     if oracle is not None:
         oracle["checked"] = len(graphs)
+    bound = "bound" in checks
+    lemma2 = "lemma2" in checks
+    lemma1_rows = (None if report.lemma1 is None else
+                   [report.lemma1["properties"][p] for p in PROPERTY_NAMES])
     for g in graphs:
         member = is_class_member(g)
         if oracle is not None and complement_oracle_check(g) != member:
@@ -353,7 +365,7 @@ def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusRepo
             report.add_violation(
                 "oracle", g, f"direct={member}, complement oracle={not member}")
         if member:
-            _check_member(g, report)
+            _check_member(g, report, bound, lemma2, lemma1_rows)
     return report
 
 

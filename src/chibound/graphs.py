@@ -195,7 +195,18 @@ def connected_components(g: Graph) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    """At most one vertex, or a sweep from vertex 0 reaches them all."""
+    if g.n <= 1:
+        return True
+    adj = g.adj
+    reached = frontier = 1
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return reached == g.full_mask
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, bits, complement
+from .graphs import Graph, bits
 from .patterns import find_3K1
 
 DEFAULT_EXACT_LIMIT = 20
@@ -27,28 +27,30 @@ class ExactLimitError(ValueError):
 # ascending order, pruned by the same kind of bound.
 
 def _mc_expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
-    if not cand:
-        return max(best, size)
-    order: list[int] = []
-    bound: list[int] = []
+    # Greedy colouring of cand, one class at a time: order lists each vertex
+    # bit with its colour, which bounds the clique among it and the vertices
+    # before it.  A vertex with no candidate left closes a clique of size + 1.
+    order = []
     p = cand
     color = 0
     while p:
         color += 1
         avail = p
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~adj[v] & ~(1 << v)
-            p ^= 1 << v
-            order.append(v)
-            bound.append(color)
-    rest = cand  # the vertices of order[:i], once order[i] is removed
-    for i in range(len(order) - 1, -1, -1):
-        if size + bound[i] <= best:
+            low = avail & -avail
+            avail &= ~adj[low.bit_length() - 1] ^ low  # ~adj[v] holds low
+            p ^= low
+            order.append((low, color))
+    rest = cand  # the vertices before the current one in order
+    for low, bound in reversed(order):
+        if size + bound <= best:
             return best
-        v = order[i]
-        rest ^= 1 << v
-        best = _mc_expand(adj, size + 1, adj[v] & rest, best)
+        rest ^= low
+        sub = adj[low.bit_length() - 1] & rest
+        if sub:
+            best = _mc_expand(adj, size + 1, sub, best)
+        elif size >= best:
+            best = size + 1
     return best
 
 
@@ -95,10 +97,17 @@ def clique_number(g: Graph) -> int:
 
 def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
     """(size, vertex mask) of the lexicographically smallest maximum clique
-    of g, or of its subgraph induced on the vertex mask ``within``."""
+    of g, or of its subgraph induced on the vertex mask ``within``.  A
+    ``within`` that is itself a clique is the answer after one pass."""
+    adj = g.adj
     cand = g.full_mask if within is None else within
-    size = _mc_expand(g.adj, 0, cand, 0)
-    return size, _first_clique(g.adj, cand, size) if size else 0
+    for v in bits(cand):
+        if cand & ~adj[v] & ~(1 << v):
+            break
+    else:  # cand is itself a clique, and the only maximum one
+        return cand.bit_count(), cand
+    size = _mc_expand(adj, 0, cand, 0)
+    return size, _first_clique(adj, cand, size)
 
 
 # ---------------------------------------------------------------------------
@@ -253,54 +262,75 @@ def _find_augmenting_path(adj_lists, match, parent, root, n):
     return -1
 
 
-def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Exact maximum matching size with a witness edge set."""
-    n = g.n
-    adj_lists = [list(bits(a)) for a in g.adj]
+def _matching(adj_lists, n: int) -> list[int]:
+    """match[v] of a maximum matching of the graph with the given neighbour
+    lists: a greedy warm start, then one augmenting-path search from each
+    unmatched root, until 2 * (n // 2) vertices are matched, after which
+    every search would fail."""
     match = [-1] * n
+    matched = 0
     for v in range(n):  # greedy warm start
         if match[v] == -1:
             for u in adj_lists[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
+                    matched += 2
                     break
     parent = [-1] * n
     for root in range(n):
-        if match[root] != -1:
+        if matched == n - n % 2:  # n // 2 edges: no search can succeed
+            break
+        if match[root] != -1 or not adj_lists[root]:
             continue
         v = _find_augmenting_path(adj_lists, match, parent, root, n)
+        if v != -1:
+            matched += 2
         while v != -1:
             pv = parent[v]
             ppv = match[pv]
             match[v] = pv
             match[pv] = v
             v = ppv
-    size = sum(1 for v in range(n) if match[v] != -1) // 2
-    edges = tuple((v, match[v]) for v in range(n) if v < match[v])
-    return size, edges
+    return match
+
+
+def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Exact maximum matching size with a witness edge set."""
+    match = _matching([bits(a) for a in g.adj], g.n)
+    edges = tuple((v, u) for v, u in enumerate(match) if v < u)
+    return len(edges), edges
 
 
 def chi_via_matching(g: Graph) -> tuple[int, tuple[int, ...]]:
     """chi(G) = n - mu(complement(G)), valid iff G has no independent triple.
 
+    The independent triples of G are the triangles of its complement, so the
+    complement's rows are built once, searched for a triangle and matched.
     Color classes are the matched complement pairs plus singletons.
     """
-    if find_3K1(g) is not None:
-        raise ValueError(
-            "chi_via_matching requires a graph with no independent triple")
-    h = complement(g)
-    size, edges = max_matching(h)
-    colors = [-1] * g.n
+    n = g.n
+    full = (1 << n) - 1
+    h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
+    h_lists = [bits(row) for row in h]
+    for v, row in enumerate(h):
+        for u in h_lists[v]:
+            if u > v and row & h[u]:
+                raise ValueError(
+                    "chi_via_matching requires a graph with no independent triple")
+    match = _matching(h_lists, n)
+    colors = [-1] * n
     c = 0
-    for u, v in edges:
-        colors[u] = colors[v] = c
-        c += 1
-    for v in range(g.n):
+    for v, u in enumerate(match):
+        if v < u:
+            colors[v] = colors[u] = c
+            c += 1
+    size = c
+    for v in range(n):
         if colors[v] == -1:
             colors[v] = c
             c += 1
-    return g.n - size, tuple(colors)
+    return n - size, tuple(colors)
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,17 @@ def _has_triangle(h: list[int]) -> bool:
 def _has_induced_k2_p3(h: list[int], full: int) -> bool:
     """Induced (edge) + (3-path) with no edges between the two parts.
 
-    Only called on triangle-free graphs, where every 2-edge path is induced.
+    Only called on triangle-free graphs, where every 2-edge path is induced:
+    so for each edge xy it is enough to find, among the vertices adjacent
+    to neither x nor y, one with two neighbours there.
     """
-    for q, nq in enumerate(h):
-        for p in bits(nq):
-            for r in bits(nq & ~((1 << (p + 1)) - 1)):
-                closed = h[p] | nq | h[r] | (1 << p) | (1 << q) | (1 << r)
-                allowed = full & ~closed
-                for x in bits(allowed):
-                    if h[x] & allowed & ~((1 << (x + 1)) - 1):
-                        return True
+    for x, hx in enumerate(h):
+        for y in bits(hx >> x << x):
+            allowed = full & ~(hx | h[y])  # hx holds y and h[y] holds x
+            for q in bits(allowed):
+                pair = h[q] & allowed
+                if pair & (pair - 1):
+                    return True
     return False
 
 

@@ -2,19 +2,20 @@
 
 Given non-adjacent vertices v, w (v of maximum degree), the vertex set of a
 class member splits as {v} + {w} + A + B + C with A the common neighbors,
-B the private neighbors of v and C those of w.  D is a maximum clique of
-the graph induced on A, Y = A - D, and each y in Y misses at least one
-vertex of D; the missed vertices form Y', and X = D - Y'.  The seven
-structural properties are evaluated literally on M1 = D, M2 = Y, M3 = B,
-M4 = C, with v and w kept explicit.  Each property is one function of the
-``PROPERTIES`` table, and ``check_lemma1`` evaluates the table in order and
-returns the property report as a JSON dict.
+B the private neighbors of v and C those of w.  D is the lexicographically
+first maximum clique of the graph induced on A, Y = A - D, and each y in Y
+misses at least one vertex of D; the missed vertices form Y', and
+X = D - Y'.  When G[A] has several maximum cliques, the choice of D, and so
+every verdict below, depends on the vertex labels.  The seven structural
+properties are evaluated literally on M1 = D, M2 = Y, M3 = B, M4 = C, with
+v and w kept explicit.  Each property is one function of the ``PROPERTIES``
+table, and ``check_lemma1`` evaluates the table in order and returns the
+property report as a JSON dict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits
 from .invariants import max_clique
@@ -32,8 +33,8 @@ class DecompositionError(ValueError):
     """Invalid pair or inconsistent decomposition input."""
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
+    """The parts of a decomposition as vertex masks (immutable: a tuple)."""
     v: int
     w: int
     A: int
@@ -72,13 +73,14 @@ def _verdict(status: str, witness: tuple[int, ...] = (), note: str = "") -> dict
 
 def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
     """Every (v, w) with deg v maximal and vw a non-edge (w in either order)."""
-    delta = g.max_degree()
+    adj = g.adj
+    delta = max(map(int.bit_count, adj), default=0)
+    full = g.full_mask
     pairs = []
-    for v in range(g.n):
-        if g.adj[v].bit_count() != delta:
-            continue
-        for w in bits(~g.adj[v] & g.full_mask & ~(1 << v)):
-            pairs.append((v, w))
+    for v, a in enumerate(adj):
+        if a.bit_count() == delta:
+            for w in bits(full & ~(a | 1 << v)):
+                pairs.append((v, w))
     return pairs
 
 
@@ -92,19 +94,31 @@ def choose_partitioning_pair(g: Graph) -> Optional[tuple[int, int]]:
 
 
 def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decomposition:
-    if not (0 <= v < g.n and 0 <= w < g.n) or v == w:
+    """The decomposition of g around the non-edge vw.
+
+    A, B and C are the common and the private neighbourhoods of v and w,
+    which must cover every other vertex.  D is the lexicographically first
+    maximum clique of G[A] (``max_clique(g, A)``), so D, and with it Y, Y'
+    and X, depends on the vertex labels when G[A] has more than one maximum
+    clique.  Raises DecompositionError for an invalid pair or an uncovered
+    vertex, and NotInClassError for a non-member unless check_class is False.
+    """
+    n = g.n
+    adj = g.adj
+    if not (0 <= v < n and 0 <= w < n) or v == w:
         raise DecompositionError(f"invalid pair ({v},{w})")
-    if g.has_edge(v, w):
+    if adj[v] >> w & 1:
         raise DecompositionError(f"({v},{w}) is an edge; a non-edge is required")
     if check_class and not is_class_member(g):
         witness = check_membership(g)  # only to name the excluding witness
         raise NotInClassError(
             f"graph is not in the class: {witness.kind} on {witness.vertices}")
-    pair_mask = (1 << v) | (1 << w)
-    a = g.adj[v] & g.adj[w]
-    b = g.adj[v] & ~g.adj[w] & ~pair_mask
-    c = g.adj[w] & ~g.adj[v] & ~pair_mask
-    uncovered = g.full_mask & ~(pair_mask | a | b | c)
+    av = adj[v]
+    aw = adj[w]
+    a = av & aw
+    b = av & ~aw & ~(1 << w)
+    c = aw & ~av & ~(1 << v)
+    uncovered = ((1 << n) - 1) & ~(1 << v | 1 << w | av | aw)
     if uncovered:
         raise DecompositionError(
             f"vertices adjacent to neither endpoint: {list(bits(uncovered))}")
@@ -113,50 +127,60 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
     missmap = []
     yp = 0
     for yy in bits(y):
-        missed = d & ~g.adj[yy]
+        missed = d & ~adj[yy]
         missmap.append((yy, missed))
         yp |= missed
-    x = d & ~yp
-    return Decomposition(v=v, w=w, A=a, B=b, C=c, D=d, X=x, Y=y, Yp=yp,
-                         missmap=tuple(missmap))
+    return Decomposition(v, w, a, b, c, d, d & ~yp, y, yp, tuple(missmap))
 
 
-# The seven properties, each a function (adj, d) -> verdict dict.
+# The seven properties, each a function (adj, d) -> verdict dict.  Each
+# makes one pass over the masks it needs and stops at the first failure,
+# whose witness is the first in the order of the property's statement.
 
 def _parts_complete(adj: tuple[int, ...], d: Decomposition) -> dict:
-    """1.1: each part induces a complete graph."""
+    """1.1: each part induces a complete graph.  The first non-edge pq,
+    p < q, of a part is at its lowest p with a non-neighbour above it."""
     if not d.D | d.Y | d.B | d.C:
-        return _verdict(VACUOUS)
+        return {"status": VACUOUS}
     for name, part in (("M1", d.D), ("M2", d.Y), ("M3", d.B), ("M4", d.C)):
-        for p, q in combinations(bits(part), 2):
-            if not adj[p] >> q & 1:
-                return _verdict(FAILS, (p, q), f"non-edge inside {name}")
-    return _verdict(HOLDS)
+        if part & (part - 1):
+            for p in bits(part):
+                # Below p, a miss would have been found at the lower vertex.
+                missed = part & ~(adj[p] | 1 << p)
+                if missed:
+                    q = (missed & -missed).bit_length() - 1
+                    return _verdict(FAILS, (p, q), f"non-edge inside {name}")
+    return {"status": HOLDS}
 
 
 def _one_miss_per_m2(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.2: every M2 vertex is non-adjacent to exactly one M1 vertex."""
     if not d.Y:
-        return _verdict(VACUOUS)
+        return {"status": VACUOUS}
     for y, missed in d.missmap:
         if missed.bit_count() != 1:
             return _verdict(FAILS, (y, *bits(missed)),
                             "M2 vertex must miss exactly one M1 vertex")
-    return _verdict(HOLDS)
+    return {"status": HOLDS}
 
 
 def _split_by_missed_pair(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.3: for every non-adjacent m1 in M1, m2 in M2, every vertex of M3 or
-    M4 is adjacent to exactly one of them."""
-    hyp = [(m1, m2) for m2 in bits(d.Y) for m1 in bits(d.D & ~adj[m2])]
+    M4 is adjacent to exactly one of them: to m1 or m2 as adj[m1] ^ adj[m2]
+    says."""
     others = d.B | d.C
-    if not hyp or not others:
-        return _verdict(VACUOUS)
-    for m1, m2 in hyp:
-        for m in bits(others):
-            if (adj[m] >> m1 & 1) + (adj[m] >> m2 & 1) != 1:
-                return _verdict(FAILS, (m1, m2, m))
-    return _verdict(HOLDS)
+    if not others:
+        return {"status": VACUOUS}
+    dd = d.D
+    hyp_seen = False
+    for m2 in bits(d.Y):
+        row2 = adj[m2]
+        for m1 in bits(dd & ~row2):
+            hyp_seen = True
+            bad = others & ~(adj[m1] ^ row2)
+            if bad:
+                return _verdict(FAILS, (m1, m2, (bad & -bad).bit_length() - 1))
+    return {"status": HOLDS if hyp_seen else VACUOUS}
 
 
 def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> dict:
@@ -166,59 +190,84 @@ def _inner_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> dict:
     Stated over M1 + M2, but its proof counts inside Y + Y'; the stricter
     Y + Y' count is the verdict and the stated reading goes in the note.
     """
-    pairs = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits(part), 2)]
-    if not pairs:
-        return _verdict(VACUOUS)
+    b, c = d.B, d.C
+    if not (b & (b - 1) or c & (c - 1)):
+        return {"status": VACUOUS}
     need = d.Y.bit_count() - 2
-    stated_fails = any((adj[p] & adj[q] & (d.D | d.Y)).bit_count() < need
-                       for p, q in pairs)
+    if need <= 0:  # a count is never negative
+        return {"status": HOLDS, "note": "stated M1+M2 reading: " + HOLDS}
+    stated = d.D | d.Y
+    proof = d.Y | d.Yp
+    stated_fails = False
+    witness = ()
+    for p, q in [(p, q) for part in (b, c) for p, q in combinations(bits(part), 2)]:
+        common = adj[p] & adj[q]
+        if not stated_fails and (common & stated).bit_count() < need:
+            stated_fails = True
+        if not witness and (common & proof).bit_count() < need:
+            witness = (p, q)
+        if stated_fails and witness:
+            break
     note = "stated M1+M2 reading: " + (FAILS if stated_fails else HOLDS)
-    for p, q in pairs:
-        if (adj[p] & adj[q] & (d.Y | d.Yp)).bit_count() < need:
-            return _verdict(FAILS, (p, q), note)
-    return _verdict(HOLDS, note=note)
+    return _verdict(FAILS if witness else HOLDS, witness, note)
 
 
 def _cross_common_neighbors(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.5: adjacent cross pairs b in M3, c in M4 share at least |M2| - 1
     common neighbors from M1 + M2."""
-    cross = [(b, c) for b in bits(d.B) for c in bits(d.C & adj[b])]
-    if not cross:
-        return _verdict(VACUOUS)
+    cc = d.C
     need = d.Y.bit_count() - 1
-    for b, c in cross:
-        if (adj[b] & adj[c] & (d.D | d.Y)).bit_count() < need:
-            return _verdict(FAILS, (b, c))
-    return _verdict(HOLDS)
+    m1m2 = d.D | d.Y
+    cross = False
+    for b in bits(d.B):
+        row = adj[b]
+        if cc & row:
+            if need <= 0:  # a count is never negative
+                return {"status": HOLDS}
+            cross = True
+            for c in bits(cc & row):
+                if (row & adj[c] & m1m2).bit_count() < need:
+                    return _verdict(FAILS, (b, c))
+    return {"status": HOLDS if cross else VACUOUS}
 
 
 def _cross_all_or_none(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.6: under |M1| >= |M2| >= 4, the cross edges between M3 and M4 are
     all present or all absent; the witness is the last absent pair."""
-    if not (d.D.bit_count() >= d.Y.bit_count() >= 4) or not d.B or not d.C:
-        return _verdict(VACUOUS)
-    present = any(d.C & adj[b] for b in bits(d.B))
-    absent = [(b, c) for b in bits(d.B) for c in bits(d.C & ~adj[b])]
-    if present and absent:
-        return _verdict(FAILS, absent[-1], "mixed cross adjacency")
-    return _verdict(HOLDS)
+    cc = d.C
+    if not (d.D.bit_count() >= d.Y.bit_count() >= 4) or not d.B or not cc:
+        return {"status": VACUOUS}
+    present = False
+    last = None
+    for b in bits(d.B):
+        row = adj[b]
+        if cc & row:
+            present = True
+        if cc & ~row:
+            last = b, (cc & ~row).bit_length() - 1
+    if present and last:
+        return _verdict(FAILS, last, "mixed cross adjacency")
+    return {"status": HOLDS}
 
 
 def _b_follows_c_pair(adj: tuple[int, ...], d: Decomposition) -> dict:
     """1.7: b in M3 adjacent to distinct c, c' in M4; any m in M1 + M2
     adjacent to both c and c' is adjacent to b, and any m adjacent to
-    neither is non-adjacent to b."""
+    neither is non-adjacent to b: where c and c' agree, b agrees with c."""
     m1m2 = d.D | d.Y
+    cc = d.C
     hyp_seen = False
     for b in bits(d.B):
-        for c, cp in combinations(bits(d.C & adj[b]), 2):
-            hyp_seen = True
-            both = adj[c] & adj[cp] & m1m2
-            neither = ~adj[c] & ~adj[cp] & m1m2
-            bad = (both & ~adj[b]) | (neither & adj[b])
+        row = adj[b]
+        pair_c = cc & row
+        if not pair_c & (pair_c - 1):
+            continue
+        hyp_seen = True
+        for c, cp in combinations(bits(pair_c), 2):
+            bad = m1m2 & ~(adj[c] ^ adj[cp]) & (adj[c] ^ row)
             if bad:
                 return _verdict(FAILS, (b, c, cp, (bad & -bad).bit_length() - 1))
-    return _verdict(HOLDS if hyp_seen else VACUOUS)
+    return {"status": HOLDS if hyp_seen else VACUOUS}
 
 
 PROPERTIES = (
@@ -236,11 +285,12 @@ PROPERTY_NAMES = tuple(name for name, _ in PROPERTIES)
 def check_lemma1(g: Graph, d: Decomposition) -> dict:
     """The JSON report of every property of ``PROPERTIES``, in order,
     evaluated literally on the decomposition."""
-    if d.A | d.B | d.C | (1 << d.v) | (1 << d.w) != g.full_mask:
+    if d.A | d.B | d.C | 1 << d.v | 1 << d.w != g.full_mask:
         raise DecompositionError("decomposition does not cover the graph")
     # missmap_injective is a diagnostic, not part of the lemma: no two Y
     # vertices miss the same D vertex.  Y' is the union of the missed sets,
     # so they are pairwise disjoint iff their sizes add up to |Y'|.
-    injective = sum(m.bit_count() for _, m in d.missmap) == d.Yp.bit_count()
-    return {"properties": {name: prop(g.adj, d) for name, prop in PROPERTIES},
+    injective = sum([m.bit_count() for _, m in d.missmap]) == d.Yp.bit_count()
+    adj = g.adj
+    return {"properties": {name: prop(adj, d) for name, prop in PROPERTIES},
             "missmap_injective": injective}

@@ -381,3 +381,228 @@ def triangle_free_complement(n: int, rng: random.Random) -> Graph:
             nbrs[v] |= 1 << u
     return from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
                           if not nbrs[u] >> v & 1])
+
+
+def all_partitioning_pairs_listed(g: Graph) -> list[tuple[int, int]]:
+    """Reference for ``structure.all_partitioning_pairs``: each
+    maximum-degree vertex v, then its non-neighbours w in ascending order."""
+    delta = max((a.bit_count() for a in g.adj), default=0)
+    return [(v, w) for v in range(g.n) if g.adj[v].bit_count() == delta
+            for w in range(g.n) if w != v and not g.has_edge(v, w)]
+
+
+def decompose_fields(g: Graph, v: int, w: int) -> tuple:
+    """Reference for ``structure.decompose`` on a member: its fields
+    (v, w, A, B, C, D, X, Y, Yp, missmap), with D from
+    ``max_clique_by_reconstruction``."""
+    a = g.adj[v] & g.adj[w]
+    b = g.adj[v] & ~g.adj[w] & ~(1 << w)
+    c = g.adj[w] & ~g.adj[v] & ~(1 << v)
+    _, d = max_clique_by_reconstruction(g, a)
+    y = a & ~d
+    missmap = tuple((u, d & ~g.adj[u]) for u in bits_generator(y))
+    yp = 0
+    for _, m in missmap:
+        yp |= m
+    return (v, w, a, b, c, d, d & ~yp, y, yp, missmap)
+
+
+def check_lemma1_pairwise(g: Graph, d) -> dict:
+    """Reference for ``structure.check_lemma1``: the seven properties as they
+    were before their one-pass versions, each testing the pairs and triples
+    of its statement one at a time (combinations, lists, ``any``)."""
+    adj = g.adj
+
+    def verdict(status, witness=(), note=""):
+        out: dict = {"status": status}
+        if witness:
+            out["witness"] = list(witness)
+        if note:
+            out["note"] = note
+        return out
+
+    def p11():
+        if not d.D | d.Y | d.B | d.C:
+            return verdict("vacuous")
+        for name, part in (("M1", d.D), ("M2", d.Y), ("M3", d.B), ("M4", d.C)):
+            for p, q in combinations(bits_generator(part), 2):
+                if not adj[p] >> q & 1:
+                    return verdict("fails", (p, q), f"non-edge inside {name}")
+        return verdict("holds")
+
+    def p12():
+        if not d.Y:
+            return verdict("vacuous")
+        for y, missed in d.missmap:
+            if missed.bit_count() != 1:
+                return verdict("fails", (y, *bits_generator(missed)),
+                               "M2 vertex must miss exactly one M1 vertex")
+        return verdict("holds")
+
+    def p13():
+        hyp = [(m1, m2) for m2 in bits_generator(d.Y) for m1 in bits_generator(d.D & ~adj[m2])]
+        others = d.B | d.C
+        if not hyp or not others:
+            return verdict("vacuous")
+        for m1, m2 in hyp:
+            for m in bits_generator(others):
+                if (adj[m] >> m1 & 1) + (adj[m] >> m2 & 1) != 1:
+                    return verdict("fails", (m1, m2, m))
+        return verdict("holds")
+
+    def p14():
+        pairs = [(p, q) for part in (d.B, d.C) for p, q in combinations(bits_generator(part), 2)]
+        if not pairs:
+            return verdict("vacuous")
+        need = d.Y.bit_count() - 2
+        stated_fails = any((adj[p] & adj[q] & (d.D | d.Y)).bit_count() < need
+                           for p, q in pairs)
+        note = "stated M1+M2 reading: " + ("fails" if stated_fails else "holds")
+        for p, q in pairs:
+            if (adj[p] & adj[q] & (d.Y | d.Yp)).bit_count() < need:
+                return verdict("fails", (p, q), note)
+        return verdict("holds", note=note)
+
+    def p15():
+        cross = [(b, c) for b in bits_generator(d.B) for c in bits_generator(d.C & adj[b])]
+        if not cross:
+            return verdict("vacuous")
+        need = d.Y.bit_count() - 1
+        for b, c in cross:
+            if (adj[b] & adj[c] & (d.D | d.Y)).bit_count() < need:
+                return verdict("fails", (b, c))
+        return verdict("holds")
+
+    def p16():
+        if not (d.D.bit_count() >= d.Y.bit_count() >= 4) or not d.B or not d.C:
+            return verdict("vacuous")
+        present = any(d.C & adj[b] for b in bits_generator(d.B))
+        absent = [(b, c) for b in bits_generator(d.B) for c in bits_generator(d.C & ~adj[b])]
+        if present and absent:
+            return verdict("fails", absent[-1], "mixed cross adjacency")
+        return verdict("holds")
+
+    def p17():
+        m1m2 = d.D | d.Y
+        hyp_seen = False
+        for b in bits_generator(d.B):
+            for c, cp in combinations(bits_generator(d.C & adj[b]), 2):
+                hyp_seen = True
+                both = adj[c] & adj[cp] & m1m2
+                neither = ~adj[c] & ~adj[cp] & m1m2
+                bad = (both & ~adj[b]) | (neither & adj[b])
+                if bad:
+                    return verdict("fails", (b, c, cp, (bad & -bad).bit_length() - 1))
+        return verdict("holds" if hyp_seen else "vacuous")
+
+    injective = sum(m.bit_count() for _, m in d.missmap) == d.Yp.bit_count()
+    properties = zip(("1.1", "1.2", "1.3", "1.4", "1.5", "1.6", "1.7"),
+                     (p11, p12, p13, p14, p15, p16, p17))
+    return {"properties": {name: prop() for name, prop in properties},
+            "missmap_injective": injective}
+
+
+# Reference for ``invariants.max_matching``: the blossom search as it was,
+# with one augmenting-path search from every unmatched root.
+
+def _lca(match, base, parent, a, b):
+    used = set()
+    while True:
+        a = base[a]
+        used.add(a)
+        if match[a] == -1:
+            break
+        a = parent[match[a]]
+    while True:
+        b = base[b]
+        if b in used:
+            return b
+        b = parent[match[b]]
+
+
+def _mark_path(match, base, blossom, parent, v, b, child):
+    while base[v] != b:
+        blossom[base[v]] = True
+        blossom[base[match[v]]] = True
+        parent[v] = child
+        child = match[v]
+        v = parent[match[v]]
+
+
+def _find_augmenting_path(adj_lists, match, parent, root, n):
+    used = [False] * n
+    for i in range(n):
+        parent[i] = -1
+    base = list(range(n))
+    used[root] = True
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for to in adj_lists[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                curbase = _lca(match, base, parent, v, to)
+                blossom = [False] * n
+                _mark_path(match, base, blossom, parent, v, curbase, to)
+                _mark_path(match, base, blossom, parent, to, curbase, v)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    return to
+                used[match[to]] = True
+                queue.append(match[to])
+    return -1
+
+
+def max_matching_unstopped(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Reference for ``invariants.max_matching``: the greedy warm start and
+    then a search from every unmatched root, however many are matched."""
+    n = g.n
+    adj_lists = [list(bits_generator(a)) for a in g.adj]
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for u in adj_lists[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    parent = [-1] * n
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        v = _find_augmenting_path(adj_lists, match, parent, root, n)
+        while v != -1:
+            pv = parent[v]
+            ppv = match[pv]
+            match[v] = pv
+            match[pv] = v
+            v = ppv
+    edges = tuple((v, match[v]) for v in range(n) if v < match[v])
+    return len(edges), edges
+
+
+def chi_via_complement_graph(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Reference for ``invariants.chi_via_matching``: ValueError on an
+    independent triple (brute force), else the matching of the complement
+    Graph by ``max_matching_unstopped``, matched pairs coloured first."""
+    if bf_independent_triple(g):
+        raise ValueError("chi_via_matching requires a graph with no independent triple")
+    size, edges = max_matching_unstopped(complement(g))
+    colors = [-1] * g.n
+    c = 0
+    for u, v in edges:
+        colors[u] = colors[v] = c
+        c += 1
+    for v in range(g.n):
+        if colors[v] == -1:
+            colors[v] = c
+            c += 1
+    return g.n - size, tuple(colors)

@@ -326,6 +326,12 @@ class TestCorpus:
         # Eight chunks through the jobs=2 in-flight window: the same bytes.
         (("sample", "14", "2000", "42", "--checks", "bound,lemma2", "--jobs", "2"),
          "1be9cedc39d2a1a3a0d02553c0ef1462086a54f42e9f713dd981eb4daf7870ed"),
+        # Lemma 1 above n = 7: 4,348 pairs, where 1.5 and 1.7 hold on some.
+        (("sample", "12", "300", "7", "--checks", "bound,lemma1,lemma2,oracle"),
+         "9311ae237c191cddf064c57db70401b48ec84b046f4065f1fca6ac0e2b888142"),
+        (("sample", "12", "300", "7", "--checks", "bound,lemma1,lemma2,oracle",
+          "--jobs", "2"),
+         "9311ae237c191cddf064c57db70401b48ec84b046f4065f1fca6ac0e2b888142"),
     ])
     def test_report_bytes_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "corpus", *argv)

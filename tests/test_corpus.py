@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import random
 import threading
+import zlib
 
 import pytest
 
@@ -14,6 +15,7 @@ from chibound.corpus import (VALID_CHECKS, CorpusReport, Population, enumerate_c
                              sample_population, validate_checks)
 from chibound.graphs import complete_graph, empty_graph, from_edges, join, serialize_graph6
 from chibound.invariants import clique_number
+from chibound.structure import all_partitioning_pairs
 from chibound.patterns import (check_membership, complement_oracle_check,
                                is_class_member)
 from oracles import graph_from_pair_mask, triangle_free_complement
@@ -370,18 +372,42 @@ class TestTracedGlobals:
     chibound.corpus looks it up; a call that bypasses that global goes
     unmeasured without failing anything else."""
 
-    def test_every_graph_reaches_the_patched_globals(self, monkeypatch):
-        calls = {}
-        for name in ("graph_from_edge_mask", "is_class_member",
-                     "complement_oracle_check"):
-            def counted(*args, _real=getattr(corpus, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _real(*args)
+    @staticmethod
+    def count_calls(monkeypatch, names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _real=getattr(corpus, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
             monkeypatch.setattr(corpus, name, counted)
+        return calls
+
+    def test_every_graph_reaches_the_patched_globals(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, ("graph_from_edge_mask", "is_class_member",
+                                               "complement_oracle_check"))
         report = run_verification(exhaustive_population(4), checks=VALID_CHECKS)
         assert (report.graphs, report.members) == (64, 41)
         assert calls == {"graph_from_edge_mask": 64, "is_class_member": 64,
                          "complement_oracle_check": 64}
+
+    def test_every_member_reaches_the_patched_globals(self, monkeypatch):
+        # One call per member, or per partitioning pair, and the exact engine
+        # once per member of the crc32 1% selection.
+        selected = sum(zlib.crc32(serialize_graph6(g).encode()) % 100 == 0
+                       for g in enumerate_class(5))
+        pairs = sum(len(all_partitioning_pairs(g)) for g in enumerate_class(5))
+        calls = self.count_calls(monkeypatch, (
+            "is_connected", "clique_number", "chi_via_matching", "chromatic_exact",
+            "serialize_graph6", "all_partitioning_pairs", "decompose", "check_lemma1"))
+        report = run_verification(exhaustive_population(5), checks=VALID_CHECKS)
+        members = report.members
+        assert (report.graphs, members, report.violations) == (1024, 358, [])
+        assert report.lemma1["pairs_checked"] == pairs > 0
+        assert selected > 0
+        assert calls == {"is_connected": members, "clique_number": members,
+                         "chi_via_matching": members, "chromatic_exact": selected,
+                         "serialize_graph6": members, "all_partitioning_pairs": members,
+                         "decompose": pairs, "check_lemma1": pairs}
 
 
 class TestPool:

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              complete_graph, connected_components,
                              disjoint_union, empty_graph, from_edges,
-                             induced_subgraph, join, parse_dimacs,
+                             induced_subgraph, is_connected, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6)
-from chibound.corpus import graph_from_edge_mask
+from chibound.corpus import graph_from_edge_mask, iter_all_graphs
 from oracles import bits_generator, parse_graph6_bitwise, random_graph
 
 import random
@@ -281,6 +281,17 @@ class TestCombinators:
         assert connected_components(empty_graph(3)) == [1, 2, 4]
         g = disjoint_union(complete_graph(3), complete_graph(2))
         assert connected_components(g) == [0b00111, 0b11000]
+
+    def test_connected_iff_one_component(self):
+        # is_connected sweeps from vertex 0 alone; the reference is the
+        # component list, on every graph with n <= 6 and on sparse graphs.
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert is_connected(g) == (len(connected_components(g)) <= 1)
+        rng = random.Random(15)
+        for _ in range(300):
+            g = random_graph(rng.randint(7, 64), rng.uniform(0.01, 0.2), rng)
+            assert is_connected(g) == (len(connected_components(g)) <= 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10), st.randoms(use_true_random=False))

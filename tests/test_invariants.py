@@ -12,9 +12,11 @@ from chibound.invariants import (ExactLimitError, _dsatur_greedy, bound_f,
                                  max_matching)
 from chibound.constructions import cycle, extremal_omega5
 from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
-                     bf_max_matching, dsatur_greedy_max_keyed,
-                     has_augmenting_path, max_clique_by_reconstruction,
-                     petersen, random_graph)
+                     bf_max_matching, chi_via_complement_graph,
+                     dsatur_greedy_max_keyed, has_augmenting_path,
+                     max_clique_by_reconstruction, max_matching_unstopped,
+                     mc_expand_prefixes, petersen, random_graph,
+                     triangle_free_complement)
 
 # Random graphs for the reference cross-checks: n <= 24, p from 0.2 to 0.95.
 _dense_graphs = st.builds(
@@ -86,6 +88,39 @@ class TestMaxCliqueAgainstReferences:
         assert max_clique(g, within) == bf_lex_first_max_clique(g, within)
 
 
+    def test_clique_within_is_its_own_answer(self):
+        # A clique mask is answered without a search: it must still be the
+        # brute-force answer.  Every graph with n <= 5 meets every clique
+        # mask in the test above; here every graph on 6 vertices, with its
+        # maximum clique and that clique less its lowest vertex.
+        for g in iter_all_graphs(6):
+            _, clique = max_clique_by_reconstruction(g)
+            for within in (clique, clique & (clique - 1)):
+                assert max_clique(g, within) == (within.bit_count(), within)
+                assert max_clique(g, within) == bf_lex_first_max_clique(g, within)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_graphs, st.randoms(use_true_random=False))
+    def test_random_clique_within(self, g, rng):
+        clique = 0
+        for v in rng.sample(range(g.n), g.n):
+            if all(g.has_edge(v, u) for u in bits(clique)):
+                clique |= 1 << v
+        assert max_clique(g, clique) == (clique.bit_count(), clique)
+        assert max_clique(g, clique) == bf_lex_first_max_clique(g, clique)
+        assert max_clique(g, clique) == max_clique_by_reconstruction(g, clique)
+
+    def test_clique_number_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert clique_number(g) == mc_expand_prefixes(g.adj, 0, g.full_mask, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dense_graphs)
+    def test_clique_number_random_graphs(self, g):
+        assert clique_number(g) == mc_expand_prefixes(g.adj, 0, g.full_mask, 0)
+
+
 class TestDsaturGreedy:
     """The plain-loop pick against the ``max()``-keyed pick it replaced."""
 
@@ -154,6 +189,41 @@ class TestMaxMatching:
             assert u not in used and v not in used
             used.update((u, v))
         assert not has_augmenting_path(g, set(edges))
+
+
+class TestMatchingAgainstReference:
+    """The matching that stops at n // 2 edges, and the matching engine on
+    the complement's rows, against the versions they replaced."""
+
+    @staticmethod
+    def same_chi(g):
+        try:
+            want = chi_via_complement_graph(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                chi_via_matching(g)
+            return
+        assert chi_via_matching(g) == want
+
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert max_matching(g) == max_matching_unstopped(g)
+                self.same_chi(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dense_graphs)
+    def test_random_graphs(self, g):
+        assert max_matching(g) == max_matching_unstopped(g)
+        self.same_chi(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.randoms(use_true_random=False))
+    def test_triangle_free_complements(self, n, rng):
+        # No independent triple, so the matching engine always answers.
+        g = triangle_free_complement(n, rng)
+        assert max_matching(g) == max_matching_unstopped(g)
+        self.same_chi(g)
 
 
 class TestChiViaMatching:

@@ -1,17 +1,22 @@
 import json
+import random
 import re
 
 import pytest
 
-from chibound.constructions import OMEGA5_VERTEX_NAMES, cycle, extremal_omega5
+from chibound.constructions import (OMEGA5_VERTEX_NAMES, cycle, extremal_omega5,
+                                    extremal_witnesses)
 from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
                              join, mask_of, parse_graph6)
 from chibound.patterns import is_class_member
-from chibound.structure import (FAILS, HOLDS, VACUOUS, Decomposition,
-                                DecompositionError, NotInClassError,
-                                all_partitioning_pairs, check_lemma1,
-                                choose_partitioning_pair, decompose)
+from chibound.structure import (FAILS, HOLDS, PROPERTY_NAMES, VACUOUS,
+                                Decomposition, DecompositionError,
+                                NotInClassError, all_partitioning_pairs,
+                                check_lemma1, choose_partitioning_pair,
+                                decompose)
+from oracles import (all_partitioning_pairs_listed, check_lemma1_pairwise,
+                     decompose_fields, triangle_free_complement)
 
 
 def name_index(name):
@@ -223,6 +228,23 @@ class TestLemma1:
                           C=mask_of(m4), D=mask_of(m1), X=mask_of(m1),
                           Y=mask_of(m2), Yp=0, missmap=())
         assert check_lemma1(g, d)["properties"]["1.6"] == verdict
+        assert json.dumps(check_lemma1(g, d)) == json.dumps(check_lemma1_pairwise(g, d))
+
+    # 1.4's note reads every pair, not only those up to the witness: here
+    # v = 0, w = 1, M1 = {2, 3, 4}, M2 = {5, 6, 7}, Y' = {2}, M3 = {8, 9, 10},
+    # so |M2| - 2 = 1 common neighbour is needed.  The first pair (8, 9)
+    # shares only 3, which Y + Y' leaves out, and the later (8, 10) shares
+    # nothing, so the stated reading fails too.
+    def test_property_1_4_note_reads_past_the_witness(self):
+        a, b = range(2, 8), (8, 9, 10)
+        g = from_edges(11, [(0, u) for u in (*a, *b)] + [(1, u) for u in a]
+                       + [(8, 3), (9, 3), (9, 10)])
+        d = Decomposition(v=0, w=1, A=mask_of(a), B=mask_of(b), C=0,
+                          D=0b11100, X=0b11000, Y=0b11100000, Yp=0b100, missmap=())
+        verdict = {"status": "fails", "witness": [8, 9],
+                   "note": "stated M1+M2 reading: fails"}
+        assert check_lemma1(g, d)["properties"]["1.4"] == verdict
+        assert json.dumps(check_lemma1(g, d)) == json.dumps(check_lemma1_pairwise(g, d))
 
     def test_partition_covers_every_non_edge(self):
         # The five-way split covers V for every non-edge, not just
@@ -237,3 +259,57 @@ class TestLemma1:
                             d = decompose(g, v, w, check_class=False)
                             parts = [1 << v, 1 << w, d.A, d.B, d.C]
                             assert sum(parts) == g.full_mask  # disjoint cover
+
+
+def same_as_references(g, v, w) -> tuple[dict, Decomposition]:
+    """decompose and check_lemma1 at (v, w) against their references; the
+    report JSON must match byte for byte, key order included."""
+    d = decompose(g, v, w, check_class=False)
+    assert tuple(d) == decompose_fields(g, v, w)
+    report = check_lemma1(g, d)
+    assert json.dumps(report) == json.dumps(check_lemma1_pairwise(g, d))
+    return report, d
+
+
+class TestLemma1AgainstReference:
+    """The one-pass properties against the pairwise versions they replaced."""
+
+    def test_triangle_free_complements(self):
+        # Every non-edge of 300 sampler-style members and non-members with
+        # n = 8..16: these reach failures that no campaign reaches, and
+        # |Y| = 3, where 1.4 and 1.5 count for real.
+        rng = random.Random(15)
+        seen = set()
+        pairs = 0
+        for _ in range(300):
+            g = triangle_free_complement(rng.randint(8, 16), rng)
+            assert all_partitioning_pairs(g) == all_partitioning_pairs_listed(g)
+            for v in range(g.n):
+                for w in range(g.n):
+                    if v != w and not g.has_edge(v, w):
+                        report, d = same_as_references(g, v, w)
+                        pairs += 1
+                        seen.add(("|Y|", d.Y.bit_count()))
+                        seen.update((name, x["status"])
+                                    for name, x in report["properties"].items())
+        assert pairs > 8000
+        for name in ("1.1", "1.2", "1.3", "1.4", "1.5", "1.7"):
+            assert (name, FAILS) in seen
+        assert {(name, HOLDS) for name in PROPERTY_NAMES if name != "1.6"} <= seen
+        assert ("|Y|", 3) in seen
+
+    def test_extremal_witnesses(self):
+        pairs = [(g, v, w) for g in extremal_witnesses()
+                 for v, w in all_partitioning_pairs(g)]
+        assert len(pairs) == 36
+        for g, v, w in pairs:
+            assert all_partitioning_pairs(g) == all_partitioning_pairs_listed(g)
+            same_as_references(g, v, w)
+
+    def test_every_member_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert all_partitioning_pairs(g) == all_partitioning_pairs_listed(g)
+                if is_class_member(g):
+                    for v, w in all_partitioning_pairs(g):
+                        same_as_references(g, v, w)
