@@ -17,7 +17,7 @@ from .invariants import (bound_f, chi_via_matching, chromatic_exact,
 from .structure import (Decomposition, check_lemma1, choose_partitioning_pair,
                         decompose)
 from .constructions import (EXTREMAL_GRAPH6, cycle, extremal_omega5,
-                            extremal_witnesses, wheel6)
+                            extremal_witnesses, ramsey_13, wheel6)
 from .corpus import (CorpusReport, enumerate_class, exhaustive_population,
                      explicit_population, run_verification, sample_class,
                      sample_population)

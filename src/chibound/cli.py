@@ -14,7 +14,7 @@ import os
 import sys
 
 from .constructions import (cycle, extremal_omega5, extremal_witnesses,
-                            wheel6)
+                            ramsey_13, wheel6)
 from .corpus import (VALID_CHECKS, exhaustive_population, run_verification,
                      sample_population, validate_checks)
 from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
@@ -93,7 +93,8 @@ def cmd_per_graph(args) -> int:
 
 _GENERATORS = {"c5": lambda: [cycle(5)], "w6": lambda: [wheel6()],
                "omega5": lambda: [extremal_omega5()],
-               "extremal": extremal_witnesses}
+               "extremal": extremal_witnesses,
+               "boundary": lambda: [ramsey_13()]}  # the one family outside the class
 
 
 def cmd_gen(args) -> int:

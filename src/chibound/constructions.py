@@ -1,4 +1,5 @@
-"""Generators for the building blocks and the extremal witnesses.
+"""Generators for the building blocks, the extremal witnesses and one
+negative control just outside the class.
 
 Every generator self-verifies against the exact solvers (clique number,
 matching-based chi, class membership) and raises ConstructionError on any
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 from .graphs import (Graph, MAX_VERTICES, complement, complete_graph,
                      from_edges, join, parse_graph6)
-from .invariants import bound_f, chi_via_matching, clique_number
-from .patterns import is_class_member
+from .invariants import (bound_f, chi_via_matching, chromatic_exact,
+                         clique_number)
+from .patterns import (TWO_K1_JOIN_K2_K1, check_membership,
+                       complement_oracle_check, is_class_member)
 
 
 class ConstructionError(RuntimeError):
@@ -109,3 +112,29 @@ def extremal_omega5() -> Graph:
             raise ConstructionError(
                 f"vertex {OMEGA5_VERTEX_NAMES[u]} has degree {g.degree(u)}, expected 10")
     return _verify(g, 5, 8, "extremal_omega5")
+
+
+def ramsey_13() -> Graph:
+    """The complement of the circulant C13(1, 5), the negative control.
+
+    It has no independent triple, clique number 4 and chromatic number
+    7 > f(4) = 6: the bound needs the 5-pattern forbidden too, and this graph
+    contains one, on the vertices (0, 1, 3, 4, 6).  Its complement is the
+    (3,5)-Ramsey graph on 13 vertices.
+    """
+    g = complement(from_edges(13, [(i, (i + d) % 13)
+                                   for i in range(13) for d in (1, 5)]))
+    witness = check_membership(g)  # a 3K1, if any, comes first
+    if (witness is None or witness.kind != TWO_K1_JOIN_K2_K1
+            or witness.vertices != (0, 1, 3, 4, 6)):
+        raise ConstructionError(
+            f"ramsey_13: witness {witness}, expected a 5-pattern on (0, 1, 3, 4, 6)")
+    if is_class_member(g) or complement_oracle_check(g):
+        raise ConstructionError("ramsey_13: a membership decider accepted it")
+    omega = clique_number(g)
+    chis = (chromatic_exact(g)[0], chi_via_matching(g)[0])
+    if omega != 4 or chis != (7, 7):  # f(4) = 6
+        raise ConstructionError(
+            f"ramsey_13: clique number {omega} and chromatic numbers {chis}, "
+            "expected 4 and (7, 7)")
+    return g

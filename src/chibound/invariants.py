@@ -11,13 +11,17 @@ from __future__ import annotations
 from collections import deque
 
 from .graphs import Graph, bits
-from .patterns import find_3K1
 
 DEFAULT_EXACT_LIMIT = 20
 
 
 class ExactLimitError(ValueError):
     """Graph too large for the exact coloring solver."""
+
+
+class IndependentTripleError(ValueError):
+    """Graph with an independent triple, for which chi_via_matching does
+    not hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +310,19 @@ def chi_via_matching(g: Graph) -> tuple[int, tuple[int, ...]]:
     """chi(G) = n - mu(complement(G)), valid iff G has no independent triple.
 
     The independent triples of G are the triangles of its complement, so the
-    complement's rows are built once, searched for a triangle and matched.
-    Color classes are the matched complement pairs plus singletons.
+    complement's rows are built once, searched for a triangle (raising
+    IndependentTripleError) and matched.  Color classes are the matched
+    complement pairs plus singletons.
     """
     n = g.n
     full = (1 << n) - 1
     h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
-    h_lists = [bits(row) for row in h]
     for v, row in enumerate(h):
-        for u in h_lists[v]:
-            if u > v and row & h[u]:
-                raise ValueError(
+        for u in bits(row >> v << v):
+            if row & h[u]:
+                raise IndependentTripleError(
                     "chi_via_matching requires a graph with no independent triple")
+    h_lists = [bits(row) for row in h]
     match = _matching(h_lists, n)
     colors = [-1] * n
     c = 0
@@ -348,9 +353,14 @@ def compute_invariants(g: Graph, engine: str = "auto") -> dict:
     """The invariant report as a JSON dict, the clique as its vertex list;
     engine is 'auto', 'exact' or 'matching'."""
     omega, clique = max_clique(g)
-    if engine == "matching" or (engine == "auto" and find_3K1(g) is None):
+    if engine == "auto":
+        try:
+            chi, coloring = chi_via_matching(g)
+        except IndependentTripleError:
+            chi, coloring = chromatic_exact(g, (omega, clique))
+    elif engine == "matching":
         chi, coloring = chi_via_matching(g)
-    elif engine in ("exact", "auto"):
+    elif engine == "exact":
         chi, coloring = chromatic_exact(g, (omega, clique))
     else:
         raise ValueError(f"unknown chi engine {engine!r}")

@@ -13,8 +13,10 @@ neither.  There are three routes to a verdict:
   witness; it is the fast path that campaigns, the sampler and
   ``structure.decompose`` call;
 - ``complement_oracle_check`` re-decides membership on the complement only
-  (triangle search plus induced edge-plus-path search) and is the
-  independent cross-check of the other two.
+  and is the independent cross-check of the other two: it builds the
+  complement's rows one vertex at a time, returns at the first triangle
+  (each complement edge tested once, from its higher end), and searches a
+  triangle-free complement for an induced edge-plus-path.
 """
 from __future__ import annotations
 
@@ -173,14 +175,6 @@ def is_class_member(g: Graph) -> bool:
 # {u1,u2,a,b,c} has exactly the edges u1u2, ac, bc -- an edge disjoint from
 # an induced 3-vertex path centered at c.
 
-def _has_triangle(h: list[int]) -> bool:
-    for nu in h:
-        for v in bits(nu):
-            if nu & h[v]:
-                return True
-    return False
-
-
 def _has_induced_k2_p3(h: list[int], full: int) -> bool:
     """Induced (edge) + (3-path) with no edges between the two parts.
 
@@ -200,9 +194,26 @@ def _has_induced_k2_p3(h: list[int], full: int) -> bool:
 
 def complement_oracle_check(g: Graph) -> bool:
     """Membership verdict computed only on the complement of g, read as
-    adjacency rows."""
+    adjacency rows.
+
+    The rows are built one vertex at a time, and each new row is tested for
+    a triangle against the rows already built: every complement edge is
+    tested once, from its higher end, and most non-members fall at their
+    first rows.  Only a triangle-free complement goes on to the K2 + P3
+    search, on the finished rows.
+    """
     full = (1 << g.n) - 1
-    h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
-    if _has_triangle(h):
-        return False
+    h = []
+    below = 0  # the vertices whose rows are built
+    for a in g.adj:
+        bit = below + 1
+        row = full ^ (a | bit)
+        earlier = row & below
+        while earlier:
+            low = earlier & -earlier
+            earlier ^= low
+            if row & h[low.bit_length() - 1]:  # a common neighbour
+                return False
+        h.append(row)
+        below |= bit
     return not _has_induced_k2_p3(h, full)

@@ -336,6 +336,28 @@ def complement_oracle_of_graph(g: Graph) -> bool:
     return True
 
 
+def complement_oracle_rows_first(g: Graph) -> bool:
+    """Reference for ``patterns.complement_oracle_check``: every complement
+    row built before the first triangle test, which tests each complement
+    edge from both ends; then, on a triangle-free complement, for each edge
+    xy a vertex with two neighbours among the vertices adjacent to neither
+    x nor y."""
+    full = (1 << g.n) - 1
+    h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
+    for nu in h:
+        for v in bits_generator(nu):
+            if nu & h[v]:
+                return False
+    for x, hx in enumerate(h):
+        for y in bits_generator(hx >> x << x):
+            allowed = full & ~(hx | h[y])
+            for q in bits_generator(allowed):
+                pair = h[q] & allowed
+                if pair & (pair - 1):
+                    return False
+    return True
+
+
 def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
     """Reference for ``invariants._dsatur_greedy``: each pick is ``max()``
     over the uncoloured vertices with the key (saturation, degree, -u)."""

@@ -224,13 +224,31 @@ class TestGen:
         assert (r["n"], r["omega"], r["chi"], r["tight"]) == (16, 5, 8, True)
 
     def test_every_family_stays_in_class(self, capsys, monkeypatch):
+        # Every family but the negative control "boundary" is in the class;
+        # that one is excluded by a 5-pattern, not by an independent triple.
         for family in cli._GENERATORS:
             code, out, err = run(capsys, "gen", family)
             assert code == 0
             code, out, err = run(capsys, "check", "-", stdin=out,
                                  monkeypatch=monkeypatch)
-            assert code == 0
-            assert all(json.loads(line)["member"] for line in out.splitlines())
+            verdicts = [json.loads(line) for line in out.splitlines()]
+            if family == "boundary":
+                assert code == 2
+                assert [v["witness"]["kind"] for v in verdicts] == ["TwoK1JoinK2K1"]
+                assert verdicts[0]["witness"]["vertices"] == [0, 1, 3, 4, 6]
+            else:
+                assert code == 0
+                assert verdicts and all(v["member"] for v in verdicts)
+        assert "boundary" in cli._GENERATORS
+
+    def test_boundary_breaks_the_bound(self, capsys):
+        code, out, err = run(capsys, "gen", "boundary", "--verify")
+        assert code == 0
+        d = json.loads(out)
+        assert d["graph6"] == "LUxtuxmluv\\m\\m"
+        r = d["report"]
+        assert (r["n"], r["omega"], r["chi"], r["bound"], r["tight"]) == \
+               (13, 4, 7, 6, False)
 
     def test_extremal_tight_for_omega_1_to_7(self, capsys, monkeypatch):
         code, out, err = run(capsys, "gen", "extremal")

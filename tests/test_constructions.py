@@ -2,11 +2,14 @@ import pytest
 
 from chibound import constructions
 from chibound.constructions import (EXTREMAL_GRAPH6, ConstructionError, cycle,
-                                    extremal_omega5, extremal_witnesses, wheel6)
+                                    extremal_omega5, extremal_witnesses,
+                                    ramsey_13, wheel6)
 from chibound.graphs import (complete_graph, induced_subgraph, parse_graph6,
                              serialize_graph6)
-from chibound.invariants import bound_f, chi_via_matching, clique_number
-from chibound.patterns import check_membership, is_class_member
+from chibound.invariants import (bound_f, chi_via_matching, chromatic_exact,
+                                 clique_number)
+from chibound.patterns import (check_membership, complement_oracle_check,
+                               find_3K1, is_class_member)
 
 # Locked after the first verified construction (degree, omega, chi and
 # membership all re-checked below and in the acceptance suite).
@@ -101,3 +104,31 @@ class TestOmega5Graph:
         monkeypatch.setattr(constructions, "_OMEGA5_NON_ADJACENCY", table)
         with pytest.raises(ConstructionError):
             extremal_omega5()
+
+
+class TestRamsey13:
+    def test_graph6(self):
+        g = ramsey_13()
+        assert serialize_graph6(g) == r"LUxtuxmluv\m\m"
+        assert serialize_graph6(g) not in EXTREMAL_GRAPH6
+
+    def test_circulant_complement(self):
+        # Vertex i misses exactly i +- 1 and i +- 5 (mod 13).
+        g = ramsey_13()
+        for i in range(13):
+            missed = {u for u in range(13) if u != i and not g.has_edge(i, u)}
+            assert missed == {(i + d) % 13 for d in (1, -1, 5, -5)}
+
+    def test_outside_the_class_above_the_bound(self):
+        g = ramsey_13()
+        assert find_3K1(g) is None
+        w = check_membership(g)
+        assert (w.kind, w.vertices) == ("TwoK1JoinK2K1", (0, 1, 3, 4, 6))
+        assert not is_class_member(g) and not complement_oracle_check(g)
+        assert clique_number(g) == 4
+        assert chromatic_exact(g)[0] == chi_via_matching(g)[0] == 7 > bound_f(4)
+
+    def test_accepting_decider_rejected(self, monkeypatch):
+        monkeypatch.setattr(constructions, "complement_oracle_check", lambda g: True)
+        with pytest.raises(ConstructionError, match="accepted"):
+            ramsey_13()

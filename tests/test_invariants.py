@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
                              induced_subgraph, join)
-from chibound.invariants import (ExactLimitError, _dsatur_greedy, bound_f,
-                                 chi_via_matching, chromatic_exact,
-                                 clique_number, compute_invariants, max_clique,
-                                 max_matching)
+from chibound.invariants import (ExactLimitError, IndependentTripleError,
+                                 _dsatur_greedy, bound_f, chi_via_matching,
+                                 chromatic_exact, clique_number,
+                                 compute_invariants, max_clique, max_matching)
 from chibound.constructions import cycle, extremal_omega5
 from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
                      bf_max_matching, chi_via_complement_graph,
@@ -241,7 +241,8 @@ class TestChiViaMatching:
         assert chi_via_matching(join(cycle(5), cycle(5)))[0] == 6
 
     def test_refuses_independent_triple(self):
-        with pytest.raises(ValueError, match="independent triple"):
+        assert issubclass(IndependentTripleError, ValueError)
+        with pytest.raises(IndependentTripleError, match="independent triple"):
             chi_via_matching(cycle(6))
 
     @settings(max_examples=150, deadline=None)
@@ -308,6 +309,29 @@ class TestReports:
         for _ in range(200):
             g = random_graph(rng.randint(0, 9), rng.choice([0.3, 0.5, 0.7]), rng)
             assert chromatic_exact(g, max_clique(g)) == chromatic_exact(g)
+
+    def test_auto_engine_is_matching_iff_no_triple(self):
+        # "auto" tries the matching engine first and falls back to the exact
+        # one on its IndependentTripleError: the same report as choosing by
+        # find_3K1 beforehand.
+        from chibound.patterns import find_3K1
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                engine = "matching" if find_3K1(g) is None else "exact"
+                assert compute_invariants(g) == compute_invariants(g, engine=engine)
+
+    def test_auto_engine_calls(self, monkeypatch):
+        import chibound.invariants as inv
+        calls = []
+        for name in ("chi_via_matching", "chromatic_exact"):
+            real = getattr(inv, name)
+            monkeypatch.setattr(inv, name, lambda g, *a, real=real, name=name:
+                                calls.append(name) or real(g, *a))
+        compute_invariants(cycle(5))
+        assert calls == ["chi_via_matching"]
+        calls.clear()
+        compute_invariants(cycle(6))
+        assert calls == ["chi_via_matching", "chromatic_exact"]
 
     def test_forced_engines_agree(self):
         g = cycle(5)

@@ -14,8 +14,9 @@ from chibound.constructions import cycle
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs
 from oracles import (bf_has_5pattern, bf_independent_triple,
                      bf_min_5pattern_roles, complement_oracle_of_graph,
-                     is_class_member_closed_list, iter_5pattern_roles_edge_first,
-                     petersen, random_graph, triangle_free_complement)
+                     complement_oracle_rows_first, is_class_member_closed_list,
+                     iter_5pattern_roles_edge_first, petersen, random_graph,
+                     triangle_free_complement)
 
 
 def pattern_graph():
@@ -127,8 +128,10 @@ class TestRolesAgainstReference:
 
 def same_verdicts_as_references(g) -> bool:
     """Both deciders agree with the versions they replaced."""
+    oracle = complement_oracle_check(g)
     return (is_class_member(g) == is_class_member_closed_list(g)
-            and complement_oracle_check(g) == complement_oracle_of_graph(g))
+            and oracle == complement_oracle_of_graph(g)
+            and oracle == complement_oracle_rows_first(g))
 
 
 class TestDecidersAgainstReferences:
@@ -153,9 +156,16 @@ class TestDecidersAgainstReferences:
         assert same_verdicts_as_references(random_graph(n, p, rng))
 
     def test_sampler_candidates(self):
+        # A triangle-free complement passes the row-by-row triangle test, so
+        # these verdicts come from the K2 + P3 search on the finished rows;
+        # above n = 8 it decides both ways.
+        verdicts = {n: set() for n in range(8, 17)}
         for seed in range(360):
-            g = triangle_free_complement(8 + seed % 9, random.Random(seed))
+            n = 8 + seed % 9
+            g = triangle_free_complement(n, random.Random(seed))
             assert same_verdicts_as_references(g), seed
+            verdicts[n].add(complement_oracle_check(g))
+        assert all(v == {False, True} for n, v in verdicts.items() if n > 8)
 
 
 # pattern_graph()'s edges: u1 = 0 and u2 = 1 joined to the edge ab = 23 and to c = 4.
