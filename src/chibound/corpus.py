@@ -316,8 +316,9 @@ def _check_member(g: Graph, report: CorpusReport, bound: bool, lemma2: bool,
     if lemma2 and connected and omega == 3:
         report.lemma2["checked"] += 1
         problems = []
-        if g.max_degree() > 5:
-            problems.append(f"delta={g.max_degree()}")
+        delta = g.max_degree()
+        if delta > 5:
+            problems.append(f"delta={delta}")
         if g.n > 8:
             problems.append(f"n={g.n}")
         if chi > 4:

@@ -73,7 +73,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def edges(self) -> list[tuple[int, int]]:
         out = []
@@ -130,6 +130,27 @@ def complete_graph(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     return Graph(g.n, tuple([(full ^ (1 << v)) & ~a for v, a in enumerate(g.adj)]))
+
+
+def triangle_free_complement_rows(g: Graph) -> list[int] | None:
+    """The complement's adjacency rows, or None at its first triangle (an
+    independent triple of g).  Each row is tested against the rows built
+    before it, so each complement edge is tested once, from its higher end."""
+    full = (1 << g.n) - 1
+    h = []
+    below = 0  # the vertices whose rows are built
+    for a in g.adj:
+        bit = below + 1
+        row = full ^ (a | bit)
+        earlier = row & below
+        while earlier:
+            low = earlier & -earlier
+            earlier ^= low
+            if row & h[low.bit_length() - 1]:  # a common neighbour
+                return None
+        h.append(row)
+        below |= bit
+    return h
 
 
 def join(g: Graph, h: Graph) -> Graph:

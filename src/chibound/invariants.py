@@ -4,13 +4,14 @@ engines), maximum matching, and the chromatic bound function.
 The two chromatic engines serve as mutual oracles: a branch-and-bound solver
 over DSATUR-ordered assignments, and the clique-cover identity
 chi(G) = n - mu(complement(G)) valid whenever G has no independent triple
-(every color class then has at most two vertices).
+(every color class then has at most two vertices).  The matching reads the
+rows of g, or of its complement by ``graphs.triangle_free_complement_rows``.
 """
 from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, triangle_free_complement_rows
 
 DEFAULT_EXACT_LIMIT = 20
 
@@ -101,10 +102,13 @@ def clique_number(g: Graph) -> int:
 
 def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
     """(size, vertex mask) of the lexicographically smallest maximum clique
-    of g, or of its subgraph induced on the vertex mask ``within``.  A
-    ``within`` that is itself a clique is the answer after one pass."""
+    of g, or of its subgraph induced on the vertex mask ``within`` (a
+    ValueError if it leaves the graph).  A ``within`` that is itself a
+    clique is the answer after one pass."""
     adj = g.adj
     cand = g.full_mask if within is None else within
+    if cand & ~g.full_mask:
+        raise ValueError("vertex set not contained in the graph")
     for v in bits(cand):
         if cand & ~adj[v] & ~(1 << v):
             break
@@ -234,7 +238,7 @@ def _mark_path(match, base, blossom, parent, v, b, child):
         v = parent[match[v]]
 
 
-def _find_augmenting_path(adj_lists, match, parent, root, n):
+def _find_augmenting_path(rows, match, parent, root, n):
     used = [False] * n
     for i in range(n):
         parent[i] = -1
@@ -243,7 +247,7 @@ def _find_augmenting_path(adj_lists, match, parent, root, n):
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for to in adj_lists[v]:
+        for to in bits(rows[v]):
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -266,16 +270,16 @@ def _find_augmenting_path(adj_lists, match, parent, root, n):
     return -1
 
 
-def _matching(adj_lists, n: int) -> list[int]:
-    """match[v] of a maximum matching of the graph with the given neighbour
-    lists: a greedy warm start, then one augmenting-path search from each
+def _matching(rows, n: int) -> list[int]:
+    """match[v] of a maximum matching of the graph with the given bitset
+    rows: a greedy warm start, then one augmenting-path search from each
     unmatched root, until 2 * (n // 2) vertices are matched, after which
     every search would fail."""
     match = [-1] * n
     matched = 0
     for v in range(n):  # greedy warm start
         if match[v] == -1:
-            for u in adj_lists[v]:
+            for u in bits(rows[v]):
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
@@ -285,9 +289,9 @@ def _matching(adj_lists, n: int) -> list[int]:
     for root in range(n):
         if matched == n - n % 2:  # n // 2 edges: no search can succeed
             break
-        if match[root] != -1 or not adj_lists[root]:
+        if match[root] != -1 or not rows[root]:
             continue
-        v = _find_augmenting_path(adj_lists, match, parent, root, n)
+        v = _find_augmenting_path(rows, match, parent, root, n)
         if v != -1:
             matched += 2
         while v != -1:
@@ -301,29 +305,21 @@ def _matching(adj_lists, n: int) -> list[int]:
 
 def max_matching(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact maximum matching size with a witness edge set."""
-    match = _matching([bits(a) for a in g.adj], g.n)
+    match = _matching(g.adj, g.n)
     edges = tuple((v, u) for v, u in enumerate(match) if v < u)
     return len(edges), edges
 
 
 def chi_via_matching(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """chi(G) = n - mu(complement(G)), valid iff G has no independent triple.
-
-    The independent triples of G are the triangles of its complement, so the
-    complement's rows are built once, searched for a triangle (raising
-    IndependentTripleError) and matched.  Color classes are the matched
-    complement pairs plus singletons.
-    """
+    """chi(G) = n - mu(complement(G)), valid iff G has no independent triple
+    (a triangle of the complement, which raises IndependentTripleError).
+    Color classes are the matched complement pairs plus singletons."""
     n = g.n
-    full = (1 << n) - 1
-    h = [full & ~(a | 1 << v) for v, a in enumerate(g.adj)]
-    for v, row in enumerate(h):
-        for u in bits(row >> v << v):
-            if row & h[u]:
-                raise IndependentTripleError(
-                    "chi_via_matching requires a graph with no independent triple")
-    h_lists = [bits(row) for row in h]
-    match = _matching(h_lists, n)
+    h = triangle_free_complement_rows(g)
+    if h is None:
+        raise IndependentTripleError(
+            "chi_via_matching requires a graph with no independent triple")
+    match = _matching(h, n)
     colors = [-1] * n
     c = 0
     for v, u in enumerate(match):

@@ -13,10 +13,10 @@ neither.  There are three routes to a verdict:
   witness; it is the fast path that campaigns, the sampler and
   ``structure.decompose`` call;
 - ``complement_oracle_check`` re-decides membership on the complement only
-  and is the independent cross-check of the other two: it builds the
-  complement's rows one vertex at a time, returns at the first triangle
-  (each complement edge tested once, from its higher end), and searches a
-  triangle-free complement for an induced edge-plus-path.
+  and is the independent cross-check of the other two: it takes the rows of
+  a triangle-free complement from ``graphs.triangle_free_complement_rows``
+  (the builder ``invariants.chi_via_matching`` also uses) and searches them
+  for an induced edge-plus-path.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, triangle_free_complement_rows
 
 THREE_K1 = "ThreeK1"
 TWO_K1_JOIN_K2_K1 = "TwoK1JoinK2K1"
@@ -193,27 +193,8 @@ def _has_induced_k2_p3(h: list[int], full: int) -> bool:
 
 
 def complement_oracle_check(g: Graph) -> bool:
-    """Membership verdict computed only on the complement of g, read as
-    adjacency rows.
-
-    The rows are built one vertex at a time, and each new row is tested for
-    a triangle against the rows already built: every complement edge is
-    tested once, from its higher end, and most non-members fall at their
-    first rows.  Only a triangle-free complement goes on to the K2 + P3
-    search, on the finished rows.
-    """
-    full = (1 << g.n) - 1
-    h = []
-    below = 0  # the vertices whose rows are built
-    for a in g.adj:
-        bit = below + 1
-        row = full ^ (a | bit)
-        earlier = row & below
-        while earlier:
-            low = earlier & -earlier
-            earlier ^= low
-            if row & h[low.bit_length() - 1]:  # a common neighbour
-                return False
-        h.append(row)
-        below |= bit
-    return not _has_induced_k2_p3(h, full)
+    """Membership verdict computed only on the complement of g: no triangle
+    (``triangle_free_complement_rows`` stops at the first), then no induced
+    K2 + P3 on the finished rows."""
+    h = triangle_free_complement_rows(g)
+    return h is not None and not _has_induced_k2_p3(h, (1 << g.n) - 1)

@@ -74,7 +74,7 @@ def _verdict(status: str, witness: tuple[int, ...] = (), note: str = "") -> dict
 def all_partitioning_pairs(g: Graph) -> list[tuple[int, int]]:
     """Every (v, w) with deg v maximal and vw a non-edge (w in either order)."""
     adj = g.adj
-    delta = max(map(int.bit_count, adj), default=0)
+    delta = g.max_degree()
     full = g.full_mask
     pairs = []
     for v, a in enumerate(adj):

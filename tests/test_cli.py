@@ -180,6 +180,14 @@ def dense_stream() -> str:
     return "".join(serialize_graph6(g) + "\n" for g in graphs)
 
 
+def large_stream() -> str:
+    """30 complements of maximal triangle-free graphs with n from 21 to 64,
+    above the exact chromatic engine's limit."""
+    rng = random.Random(2015)
+    graphs = [triangle_free_complement(rng.randint(21, 64), rng) for _ in range(30)]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
 class TestPerGraphBytes:
     # The sha256 of each pass's stdout over one fixed stream: every record,
     # decompose's error records for graphs without a partitioning pair
@@ -207,6 +215,14 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Above the exact engine's limit only chi_via_matching gives chi.
+    def test_large_stream_invariants_pinned(self, capsys, monkeypatch):
+        got, out, err = run(capsys, "invariants", "-", stdin=large_stream(),
+                            monkeypatch=monkeypatch)
+        assert got == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "c52f19b94a22f5d0acabe8263ed037d68ea7ff68d422b03ec952216795f38f40"
 
 
 class TestGen:

@@ -8,9 +8,12 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              complete_graph, connected_components,
                              disjoint_union, empty_graph, from_edges,
                              induced_subgraph, is_connected, join, parse_dimacs,
-                             parse_graph6, relabel, serialize_graph6)
+                             parse_graph6, relabel, serialize_graph6,
+                             triangle_free_complement_rows)
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs
-from oracles import bits_generator, parse_graph6_bitwise, random_graph
+from oracles import (bf_independent_triple, bits_generator,
+                     parse_graph6_bitwise, random_graph,
+                     triangle_free_complement)
 
 import random
 
@@ -305,6 +308,37 @@ class TestCombinators:
     def test_check_invariants_rejects_asymmetry(self):
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00)).check_invariants()
+
+
+class TestTriangleFreeComplementRows:
+    """The one complement builder of the membership oracle and the matching
+    chi engine: None exactly when g has an independent triple (brute force),
+    else the rows of complement(g)."""
+
+    @staticmethod
+    def same_as_reference(g):
+        rows = triangle_free_complement_rows(g)
+        if bf_independent_triple(g) is not None:
+            assert rows is None
+        else:
+            assert rows == list(complement(g).adj)
+
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                self.same_as_reference(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.floats(0.5, 1.0), st.booleans(),
+           st.randoms(use_true_random=False))
+    def test_up_to_64_vertices(self, n, p, triangle_free, rng):
+        # Complements of maximal triangle-free graphs always give rows;
+        # dense G(n, p) give both outcomes, the triple often late.
+        if triangle_free:
+            g = triangle_free_complement(n, rng)
+        else:
+            g = random_graph(n, p, rng)
+        self.same_as_reference(g)
 
 
 class TestDimacs:

@@ -43,6 +43,12 @@ class TestMaxClique:
         size, clique = max_clique(g, within=0b111110)
         assert size == 3 and clique == 0b111000
 
+    def test_rejects_vertex_set_outside_graph(self):
+        # The same error as induced_subgraph gives for these masks.
+        for within in (0b100011, 1 << 5, -1):
+            with pytest.raises(ValueError, match="not contained in the graph"):
+                max_clique(cycle(5), within)
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 9), st.randoms(use_true_random=False))
     def test_against_brute_force(self, n, rng):
@@ -218,9 +224,10 @@ class TestMatchingAgainstReference:
         self.same_chi(g)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 24), st.randoms(use_true_random=False))
+    @given(st.integers(1, 64), st.randoms(use_true_random=False))
     def test_triangle_free_complements(self, n, rng):
-        # No independent triple, so the matching engine always answers.
+        # No independent triple, so the matching engine always answers, also
+        # above DEFAULT_EXACT_LIMIT, where it alone gives chi.
         g = triangle_free_complement(n, rng)
         assert max_matching(g) == max_matching_unstopped(g)
         self.same_chi(g)
