@@ -132,7 +132,10 @@ def cmd_corpus(args) -> int:
 def _job_count(text: str) -> int:
     """--jobs: at least 1; more workers than the CPUs this process may run
     on are not started."""
-    jobs = int(text)
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
     if hasattr(os, "sched_getaffinity"):

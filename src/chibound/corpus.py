@@ -36,12 +36,14 @@ GIVE_UP_RATE = 0.001
 CHUNK_SIZE = 256  # graphs per worker task
 
 
-def _check_sample_size(n: int, count: int) -> None:
+def _check_sample_size(n: int, count: int, seed: int) -> None:
     if not SAMPLE_MIN_N <= n <= SAMPLE_MAX_N:
         raise ValueError(f"sampling supports {SAMPLE_MIN_N} <= n <= "
                          f"{SAMPLE_MAX_N}, got n={n}")
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
+    if seed < 0:  # random.Random(-s) seeds exactly like random.Random(s)
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @functools.cache
@@ -76,13 +78,6 @@ def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple, ...]:
 # list in place, so every call compares its pairs with the copy.
 _edge_memo: tuple = (-1, (), ())
 
-# graph_from_edge_mask builds each Graph by filling its two slots directly:
-# the frozen dataclass __init__ sets them through two object.__setattr__
-# calls, which nearly doubles the cost of a Graph.
-_new_graph = object.__new__
-_set_n = Graph.n.__set__
-_set_adj = Graph.adj.__set__
-
 
 def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
     """The graph on n <= 8 vertices with the edges pairs[i] for the set bits
@@ -98,10 +93,7 @@ def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) ->
     for table in tables:
         packed |= table[mask & 255]
         mask >>= 8
-    g = _new_graph(Graph)
-    _set_n(g, n)
-    _set_adj(g, tuple(packed.to_bytes(n, "little")))
-    return g
+    return Graph(n, tuple(packed.to_bytes(n, "little")))
 
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
@@ -129,7 +121,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     rejection-filtered on the full membership test.  Deterministic per
     seed; gives up if the sustained rejection rate exceeds 99.9%.
     """
-    _check_sample_size(n, count)
+    _check_sample_size(n, count, seed)
     getrandbits = random.Random(seed).getrandbits
     base_pairs = list(_pair_bits(n))
     # random.shuffle's Fisher-Yates on getrandbits, inlined: the same draws,
@@ -187,7 +179,7 @@ def exhaustive_population(n: int) -> Population:
 
 
 def sample_population(n: int, count: int, seed: int) -> Population:
-    _check_sample_size(n, count)
+    _check_sample_size(n, count, seed)
     return Population(lambda: {"mode": "sample", "n": n, "count": count, "seed": seed},
                       lambda: sample_class(n, count, seed))
 
@@ -255,12 +247,9 @@ class CorpusReport:
                 str(k): self.omega_histogram[k] for k in sorted(self.omega_histogram)
             },
         }
-        if self.oracle is not None:
-            d["oracle"] = self.oracle
-        if self.lemma1 is not None:
-            d["lemma1"] = self.lemma1
-        if self.lemma2 is not None:
-            d["lemma2"] = self.lemma2
+        for block in ("oracle", "lemma1", "lemma2"):
+            if getattr(self, block) is not None:
+                d[block] = getattr(self, block)
         d["violations"] = self.violations
         return d
 

@@ -55,12 +55,18 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Graph:
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of v."""
 
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        # Unvalidated (check_invariants does that).  The slot setters cost a
+        # third less than the frozen dataclass's object.__setattr__ calls.
+        _set_n(self, n)
+        _set_adj(self, adj)
 
     @property
     def full_mask(self) -> int:
@@ -102,6 +108,10 @@ class Graph:
                     raise ValueError(f"asymmetric edge ({v},{u})")
 
 
+_set_n = Graph.n.__set__  # after decoration: slots=True replaces the class
+_set_adj = Graph.adj.__set__
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
@@ -121,10 +131,7 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return complement(empty_graph(n))
 
 
 def complement(g: Graph) -> Graph:

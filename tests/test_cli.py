@@ -334,6 +334,7 @@ class TestCorpus:
         (("exhaustive", "-1"), "1 <= n <= 7, got n=-1"),
         (("exhaustive", "0"), "1 <= n <= 7, got n=0"),
         (("sample", "9", "-5", "1"), "count must be >= 0, got -5"),
+        (("sample", "10", "20", "-5"), "seed must be >= 0, got -5"),
     ])
     def test_bad_sizes_exit_1(self, capsys, params, message):
         code, out, err = run(capsys, "corpus", *params)
@@ -420,6 +421,14 @@ class TestCorpus:
             main(["corpus", "exhaustive", "3", "--jobs", jobs])
         assert exc.value.code == 1
         assert f"must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_jobs_not_an_integer_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "exhaustive", "3", "--jobs", "abc"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --jobs: must be an integer, got 'abc'" in err
+        assert "_job_count" not in err
 
     def jobs_passed(self, capsys, monkeypatch, jobs):
         seen = []

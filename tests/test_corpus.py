@@ -1,11 +1,17 @@
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import zlib
+from pathlib import Path
 
 import pytest
 
+import chibound
 from chibound import corpus
 from chibound.constructions import cycle, extremal_omega5, wheel6
 from chibound.corpus import (VALID_CHECKS, CorpusReport, Population, enumerate_class,
@@ -195,6 +201,12 @@ class TestPopulationSizes:
     def test_sample_n_outside_range(self):
         with pytest.raises(ValueError, match=r"8 <= n <= 14, got n=7$"):
             sample_population(7, 10, 1)
+
+    def test_negative_seed(self):
+        # random.Random(-5) would draw the seed-5 stream under "seed": -5.
+        for build in (sample_population, lambda *a: next(sample_class(*a))):
+            with pytest.raises(ValueError, match=r"seed must be >= 0, got -5$"):
+                build(10, 20, -5)
 
 
 class TestRunVerification:
@@ -476,3 +488,22 @@ class TestPool:
             run_verification(Population(dict, stream), jobs=2)
         assert isinstance(exc.value.__cause__, multiprocessing.pool.RemoteTraceback)
         assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_give_the_pinned_bytes(self):
+        # Workers that import chibound afresh: spawn is macOS's default, and
+        # forkserver is Linux's from Python 3.14.  The digest is the one
+        # test_cli.py pins for "corpus sample 12 300 7" with all four checks.
+        script = textwrap.dedent("""\
+            import hashlib, multiprocessing
+            from chibound.corpus import run_verification, sample_population
+            multiprocessing.set_start_method("spawn")
+            report = run_verification(sample_population(12, 300, 7),
+                                      ("bound", "lemma1", "lemma2", "oracle"), jobs=2)
+            print(hashlib.sha256((report.to_json() + "\\n").encode()).hexdigest())
+            """)
+        env = {**os.environ, "PYTHONPATH": str(Path(chibound.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "9311ae237c191cddf064c57db70401b48ec84b046f4065f1fca6ac0e2b888142\n")

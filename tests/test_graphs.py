@@ -10,7 +10,7 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              induced_subgraph, is_connected, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6,
                              triangle_free_complement_rows)
-from chibound.corpus import graph_from_edge_mask, iter_all_graphs
+from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class
 from oracles import (bf_independent_triple, bits_generator,
                      parse_graph6_bitwise, random_graph,
                      triangle_free_complement)
@@ -172,7 +172,8 @@ class TestParserFuzz:
 
 
 def built_graphs():
-    """One graph from each builder, the graph6 codec and from_edges."""
+    """One graph from each builder, the graph6 codec, from_edges, the
+    sampler, keyword construction and dataclasses.replace."""
     c5 = from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     pairs = [(u, v) for v in range(1, 7) for u in range(v)]
     return [("from_edges", c5),
@@ -181,7 +182,10 @@ def built_graphs():
             ("complement", complement(c5)),
             ("parse_graph6", parse_graph6("Dhc")),
             ("parse_graph6, 64 vertices", parse_graph6(serialize_graph6(
-                random_graph(64, 0.5, random.Random(3)))))]
+                random_graph(64, 0.5, random.Random(3))))),
+            ("keywords", Graph(n=5, adj=c5.adj)),
+            ("dataclasses.replace", dataclasses.replace(c5, adj=complement(c5).adj)),
+            ("sample_class", next(sample_class(9, 1, 0)))]
 
 
 class TestGraphValue:
