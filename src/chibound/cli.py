@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .constructions import (cycle, extremal_omega5, extremal_witnesses,
@@ -129,13 +130,18 @@ def cmd_corpus(args) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits, nothing else: no sign '+', no
+    spaces, no '_' and no other script's digits, which int() would take."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
 def _job_count(text: str) -> int:
     """--jobs: at least 1; more workers than the CPUs this process may run
     on are not started."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    jobs = _integer(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
     if hasattr(os, "sched_getaffinity"):
@@ -170,7 +176,7 @@ def build_parser() -> _Parser:
 
     p = add_per_graph("decompose", answer_decompose, "partitioning-pair "
                       "decomposition and structural property report")
-    p.add_argument("--pair", nargs=2, type=int, metavar=("V", "W"))
+    p.add_argument("--pair", nargs=2, type=_integer, metavar=("V", "W"))
 
     p = sub.add_parser("gen", help="emit a generator's graph6 lines")
     p.add_argument("family", choices=sorted(_GENERATORS))
@@ -180,7 +186,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("corpus", help="run a verification campaign")
     p.add_argument("mode", choices=("exhaustive", "sample"))
-    p.add_argument("params", nargs="+", type=int,
+    p.add_argument("params", nargs="+", type=_integer,
                    help="exhaustive: n; sample: n count seed")
     p.add_argument("--checks", default="bound",
                    help=f"comma list from {','.join(VALID_CHECKS)}")

@@ -204,37 +204,25 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the components, sorted by smallest member."""
-    seen = 0
+    adj = g.adj
     comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = g.adj[v] & ~comp
+    rest = g.full_mask  # the vertices no component holds yet
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            comp |= frontier
             nxt = 0
             for u in bits(frontier):
-                nxt |= g.adj[u]
+                nxt |= adj[u]
             frontier = nxt & ~comp
+            comp |= frontier
         comps.append(comp)
-        seen |= comp
+        rest ^= comp
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    """At most one vertex, or a sweep from vertex 0 reaches them all."""
-    if g.n <= 1:
-        return True
-    adj = g.adj
-    reached = frontier = 1
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~reached
-        reached |= frontier
-    return reached == g.full_mask
+    """At most one vertex, or the first component holds them all."""
+    return g.n <= 1 or connected_components(g)[0] == g.full_mask
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Exact graph invariants: maximum clique, chromatic number (two independent
-engines), maximum matching, and the chromatic bound function.
+"""Exact graph invariants: maximum clique (one branch and bound gives both
+omega and the lexicographically first maximum clique), chromatic number (two
+independent engines), maximum matching, and the chromatic bound function.
 
 The two chromatic engines serve as mutual oracles: a branch-and-bound solver
 over DSATUR-ordered assignments, and the clique-cover identity
@@ -26,100 +27,77 @@ class IndependentTripleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Maximum clique.  Its size comes from a bitset branch and bound with a
-# greedy-coloring upper bound; the lexicographically first clique of that
-# size then comes from one depth-first search over the vertices in
-# ascending order, pruned by the same kind of bound.
+# Maximum clique.
 
-def _mc_expand(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
-    # Greedy colouring of cand, one class at a time: order lists each vertex
-    # bit with its colour, which bounds the clique among it and the vertices
-    # before it.  A vertex with no candidate left closes a clique of size + 1.
-    order = []
+def _clique_search(adj: tuple[int, ...], cand: int, size: int, clique: int,
+                   best: int, best_mask: int) -> tuple[int, int]:
+    """(best, best_mask) after extending ``clique``, of ``size`` vertices,
+    by cand: the vertices are tried in ascending order, each included before
+    it is excluded, so cliques are met in lexicographic order and, as a tie
+    never replaces the best, the first maximum one met is the smallest.  The
+    bound: colour cand one class at a time, each class started from its
+    highest vertex.  A clique among v and the later vertices meets only the
+    classes whose highest vertex is at least v, so the loop stops once
+    size + that count <= best."""
+    tops = []  # each class's highest vertex, in descending order
     p = cand
-    color = 0
     while p:
-        color += 1
-        avail = p
-        while avail:
-            low = avail & -avail
-            avail &= ~adj[low.bit_length() - 1] ^ low  # ~adj[v] holds low
-            p ^= low
-            order.append((low, color))
-    rest = cand  # the vertices before the current one in order
-    for low, bound in reversed(order):
-        if size + bound <= best:
-            return best
-        rest ^= low
-        sub = adj[low.bit_length() - 1] & rest
-        if sub:
-            best = _mc_expand(adj, size + 1, sub, best)
-        elif size >= best:
-            best = size + 1
-    return best
-
-
-def _first_clique(adj: tuple[int, ...], cand: int, need: int) -> int:
-    """Mask of the clique of ``need`` >= 1 vertices inside cand whose
-    ascending vertex list is lexicographically smallest, or 0 if none.
-
-    Each vertex is included before it is excluded, and vertices are taken in
-    ascending order, so vertex sets of one size are met in lexicographic
-    order and the first clique found is the smallest.  The bound: color cand
-    greedily one class at a time, each class started from its highest
-    vertex.  A clique among v and the later vertices meets only the classes
-    whose highest vertex is at least v, so v is the last vertex worth trying
-    when it passes the highest vertex of class ``need``.
-    """
-    if need == 1:
-        return cand & -cand
-    p = cand
-    for _ in range(need):
-        if not p:
-            return 0
-        last = p.bit_length() - 1  # this class's highest vertex
+        tops.append(p.bit_length() - 1)
         avail = p
         while avail:
             v = avail.bit_length() - 1
-            avail &= ~adj[v] & ~(1 << v)
+            avail &= ~adj[v] ^ (1 << v)  # ~adj[v] holds v
             p ^= 1 << v
+    count = len(tops)  # the classes whose highest vertex is at least v
     rest = cand
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
-        if v > last:
-            return 0
+        while tops[count - 1] < v:
+            count -= 1
+        if size + count <= best:
+            break
         rest ^= low
-        found = _first_clique(adj, rest & adj[v], need - 1)
-        if found:
-            return found | low
-    return 0
+        sub = rest & adj[v]
+        if sub:
+            best, best_mask = _clique_search(adj, sub, size + 1, clique | low,
+                                             best, best_mask)
+        elif size >= best:
+            best, best_mask = size + 1, clique | low
+    return best, best_mask
 
 
 def clique_number(g: Graph) -> int:
-    return _mc_expand(g.adj, 0, g.full_mask, 0)
+    return _clique_search(g.adj, g.full_mask, 0, 0, 0, 0)[0]
 
 
 def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
     """(size, vertex mask) of the lexicographically smallest maximum clique
     of g, or of its subgraph induced on the vertex mask ``within`` (a
-    ValueError if it leaves the graph).  A ``within`` that is itself a
-    clique is the answer after one pass."""
-    adj = g.adj
+    ValueError if it leaves the graph), from the search that also gives
+    ``clique_number``."""
     cand = g.full_mask if within is None else within
     if cand & ~g.full_mask:
         raise ValueError("vertex set not contained in the graph")
-    for v in bits(cand):
-        if cand & ~adj[v] & ~(1 << v):
-            break
-    else:  # cand is itself a clique, and the only maximum one
-        return cand.bit_count(), cand
-    size = _mc_expand(adj, 0, cand, 0)
-    return size, _first_clique(adj, cand, size)
+    return _clique_search(g.adj, cand, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
 # Exact chromatic number: DSATUR-ordered branch and bound.
+
+def _dsatur_pick(vertices, colors, neighbor_colors, degrees) -> int:
+    """The uncoloured vertex among ``vertices`` with the most colours on its
+    neighbours, then the highest degree, then the lowest index; -1 if every
+    one is coloured."""
+    pick = -1
+    pick_key = None
+    for u in vertices:
+        if colors[u] == -1:
+            key = (neighbor_colors[u].bit_count(), degrees[u], -u)
+            if pick_key is None or key > pick_key:
+                pick, pick_key = u, key
+    return pick
+
 
 def _dsatur_greedy(g: Graph) -> list[int]:
     n = g.n
@@ -127,13 +105,7 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     neighbor_colors = [0] * n  # bitmask of colors seen on neighbors
     degrees = [g.degree(v) for v in range(n)]
     for _ in range(n):
-        v = -1
-        v_key = None
-        for u in range(n):
-            if colors[u] == -1:
-                key = (neighbor_colors[u].bit_count(), degrees[u], -u)
-                if v_key is None or key > v_key:
-                    v, v_key = u, key
+        v = _dsatur_pick(range(n), colors, neighbor_colors, degrees)
         c = 0
         while neighbor_colors[v] >> c & 1:
             c += 1
@@ -181,13 +153,7 @@ def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
         nonlocal best_k, best
         if used >= best_k:
             return
-        pick = -1
-        pick_key = None
-        for u in uncolored:
-            if colors[u] == -1:
-                key = (neighbor_colors[u].bit_count(), degrees[u], -u)
-                if pick_key is None or key > pick_key:
-                    pick, pick_key = u, key
+        pick = _dsatur_pick(uncolored, colors, neighbor_colors, degrees)
         if pick == -1:
             best_k = used
             best = colors[:]

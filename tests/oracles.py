@@ -224,8 +224,10 @@ def bf_min_5pattern_roles(g: Graph):
 # kept as they were.
 
 def mc_expand_prefixes(adj, size: int, cand: int, best: int) -> int:
-    """Reference for ``invariants._mc_expand``: the candidates before
-    position i of the coloring order are read from a list of prefix masks."""
+    """Reference for ``invariants.clique_number``: a branch and bound over
+    a greedy colouring order, taken from its last vertex, each vertex's
+    colour bounding the clique among it and the vertices before it, which
+    are read from a list of prefix masks."""
     if not cand:
         return max(best, size)
     order: list[int] = []
@@ -377,6 +379,27 @@ def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
         for u in bits_generator(g.adj[v]):
             neighbor_colors[u] |= 1 << c
     return colors
+
+
+def components_by_vertex_scan(g: Graph) -> list[int]:
+    """Reference for ``graphs.connected_components``: a scan over every
+    vertex index, skipping those a component already holds."""
+    seen = 0
+    comps = []
+    for v in range(g.n):
+        if seen >> v & 1:
+            continue
+        comp = 1 << v
+        frontier = g.adj[v] & ~comp
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for u in bits_generator(frontier):
+                nxt |= g.adj[u]
+            frontier = nxt & ~comp
+        comps.append(comp)
+        seen |= comp
+    return comps
 
 
 def petersen() -> Graph:

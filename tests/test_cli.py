@@ -430,6 +430,27 @@ class TestCorpus:
         assert "argument --jobs: must be an integer, got 'abc'" in err
         assert "_job_count" not in err
 
+    # int() would read each of these as a number: another script's digit, a
+    # digit group, a '+' sign and a leading space.
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "+3", " 2"])
+    @pytest.mark.parametrize("argv", [
+        ("corpus", "exhaustive", "{}"),
+        ("corpus", "exhaustive", "3", "--jobs", "{}"),
+        ("decompose", "DUW", "--pair", "0", "{}"),
+    ])
+    def test_integer_arguments_are_ascii_decimal(self, capsys, monkeypatch,
+                                                 argv, text):
+        calls = []
+        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "decompose", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(text) for arg in argv])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"must be an integer, got {text!r}" in err
+        assert calls == []
+
     def jobs_passed(self, capsys, monkeypatch, jobs):
         seen = []
         real = cli.run_verification

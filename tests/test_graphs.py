@@ -12,8 +12,8 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              triangle_free_complement_rows)
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class
 from oracles import (bf_independent_triple, bits_generator,
-                     parse_graph6_bitwise, random_graph,
-                     triangle_free_complement)
+                     components_by_vertex_scan, parse_graph6_bitwise,
+                     random_graph, triangle_free_complement)
 
 import random
 
@@ -290,15 +290,16 @@ class TestCombinators:
         assert connected_components(g) == [0b00111, 0b11000]
 
     def test_connected_iff_one_component(self):
-        # is_connected sweeps from vertex 0 alone; the reference is the
-        # component list, on every graph with n <= 6 and on sparse graphs.
-        for n in range(7):
-            for g in iter_all_graphs(n):
-                assert is_connected(g) == (len(connected_components(g)) <= 1)
+        # The component list against the per-vertex scan it replaced, and
+        # is_connected against that list, on every graph with n <= 6 and on
+        # sparse graphs.
         rng = random.Random(15)
-        for _ in range(300):
-            g = random_graph(rng.randint(7, 64), rng.uniform(0.01, 0.2), rng)
-            assert is_connected(g) == (len(connected_components(g)) <= 1)
+        for g in [*(g for n in range(7) for g in iter_all_graphs(n)),
+                  *(random_graph(rng.randint(7, 64), rng.uniform(0.01, 0.2), rng)
+                    for _ in range(300))]:
+            comps = components_by_vertex_scan(g)
+            assert connected_components(g) == comps
+            assert is_connected(g) == (len(comps) <= 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10), st.randoms(use_true_random=False))

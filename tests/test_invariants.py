@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
-                             induced_subgraph, join)
+                             induced_subgraph, join, parse_graph6)
 from chibound.invariants import (ExactLimitError, IndependentTripleError,
                                  _dsatur_greedy, bound_f, chi_via_matching,
                                  chromatic_exact, clique_number,
@@ -95,10 +96,10 @@ class TestMaxCliqueAgainstReferences:
 
 
     def test_clique_within_is_its_own_answer(self):
-        # A clique mask is answered without a search: it must still be the
-        # brute-force answer.  Every graph with n <= 5 meets every clique
-        # mask in the test above; here every graph on 6 vertices, with its
-        # maximum clique and that clique less its lowest vertex.
+        # A clique mask must be its own answer, the brute-force one.  Every
+        # graph with n <= 5 meets every clique mask in the test above; here
+        # every graph on 6 vertices, with its maximum clique and that clique
+        # less its lowest vertex.
         for g in iter_all_graphs(6):
             _, clique = max_clique_by_reconstruction(g)
             for within in (clique, clique & (clique - 1)):
@@ -115,6 +116,19 @@ class TestMaxCliqueAgainstReferences:
         assert max_clique(g, clique) == (clique.bit_count(), clique)
         assert max_clique(g, clique) == bf_lex_first_max_clique(g, clique)
         assert max_clique(g, clique) == max_clique_by_reconstruction(g, clique)
+
+    # Class-like graphs above the n <= 24 of _dense_graphs: complements of
+    # maximal triangle-free graphs, and the n = 23 witness with omega = 8.
+    @pytest.mark.parametrize("g", [
+        *(triangle_free_complement(n, random.Random(s))
+          for n in (25, 32, 40) for s in range(3)),
+        parse_graph6("V~~~~|~Nw~`~D~E~bnw|~fv~^n~^GNnCNz`F~WH~|?n_"),
+    ])
+    def test_large_class_like_graphs(self, g):
+        within = random.Random(g.n).getrandbits(g.n)
+        assert max_clique(g) == max_clique_by_reconstruction(g)
+        assert max_clique(g, within) == max_clique_by_reconstruction(g, within)
+        assert clique_number(g) == mc_expand_prefixes(g.adj, 0, g.full_mask, 0)
 
     def test_clique_number_every_graph_up_to_6(self):
         for n in range(7):
