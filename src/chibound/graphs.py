@@ -6,6 +6,7 @@ graphs, so they are safe to share between concurrent workers.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -227,8 +228,15 @@ def is_connected(g: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # graph6 (bit-exact per the published format description)
+#
+# Both directions hold the body as one integer, ``upper``: bit i is the i-th
+# pair of the upper triangle in graph6 order (0,1), (0,2), (1,2), (0,3), ...,
+# so column v is the v bits above the first v*(v-1)/2.  The body is upper's
+# bits lowest first, zero-padded to 6-bit groups, each the byte 63 + group.
 
 _SIX_BITS = tuple(format(k, "06b") for k in range(64))  # byte - 63 -> its bits
+_SIX_BYTE = {six: chr(63 + k) for k, six in enumerate(_SIX_BITS)}  # and back
+_NOT_GRAPH6 = re.compile("[^?-~]")  # outside bytes 63..126
 
 
 def parse_graph6(text: str) -> Graph:
@@ -237,14 +245,10 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise GraphFormatError("empty graph6 input")
-    try:
-        data = line.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(f"invalid graph6 byte at offset {off}")
-    pos = 0
+    bad = _NOT_GRAPH6.search(line)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte at offset {bad.start()}")
+    data = line.encode("ascii")
     if data[0] == 126:  # '~': extended vertex count
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError("graph counts beyond 2^18 not supported (offset 1)")
@@ -264,39 +268,32 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
     if len(data) - pos > nbytes:
         raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
-    # The upper triangle column by column: (0,1), (0,2), (1,2), (0,3), ...
     body = "".join([_SIX_BITS[b - 63] for b in data[pos:]])
     if "1" in body[nbits:]:  # padding fills only the last byte
         raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
+    upper = int(body[:nbits][::-1] or "0", 2)
     adj = [0] * n
-    start = 0
     for v in range(1, n):
-        adj[v] = int(body[start:start + v][::-1], 2)
-        for u in bits(adj[v]):
+        adj[v] = col = upper & ((1 << v) - 1)
+        upper >>= v
+        for u in bits(col):
             adj[u] |= 1 << v
-        start += v
     return Graph(n, tuple(adj))
 
 
 def serialize_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        head = [n + 63]
+        head = chr(63 + n)
     else:
-        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    out = []
-    group, filled = 0, 0
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            group = (group << 1) | (col >> u & 1)
-            filled += 1
-            if filled == 6:
-                out.append(group + 63)
-                group, filled = 0, 0
-    if filled:
-        out.append((group << (6 - filled)) + 63)
-    return bytes(head + out).decode("ascii")
+        head = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    upper = nbits = 0
+    for v, a in enumerate(g.adj):
+        upper |= (a & ((1 << v) - 1)) << nbits
+        nbits += v
+    width = (nbits + 5) // 6 * 6
+    body = format(upper, f"0{width}b")[::-1]  # zeros above nbits pad the last group
+    return head + "".join([_SIX_BYTE[body[i:i + 6]] for i in range(0, width, 6)])
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,10 @@ def parse_graph6_bitwise(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise GraphFormatError("empty graph6 input")
-    try:
-        data = line.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise GraphFormatError(f"invalid graph6 byte at offset {exc.start}") from None
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
+    for off, char in enumerate(line):  # the first character outside 63..126
+        if not 63 <= ord(char) <= 126:
             raise GraphFormatError(f"invalid graph6 byte at offset {off}")
+    data = line.encode("ascii")
     if data[0] == 126:  # '~': extended vertex count
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError("graph counts beyond 2^18 not supported (offset 1)")
@@ -81,6 +78,29 @@ def parse_graph6_bitwise(text: str) -> Graph:
             if u == v:
                 u, v = 0, v + 1
     return Graph(n, tuple(adj))
+
+
+def serialize_graph6_bitwise(g: Graph) -> str:
+    """Reference for ``graphs.serialize_graph6``: the upper triangle walked
+    one bit at a time, column by column, each 6 bits flushed as a byte."""
+    n = g.n
+    if n <= 62:
+        head = [n + 63]
+    else:
+        head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    out = []
+    group, filled = 0, 0
+    for v in range(1, n):
+        col = g.adj[v]
+        for u in range(v):
+            group = (group << 1) | (col >> u & 1)
+            filled += 1
+            if filled == 6:
+                out.append(group + 63)
+                group, filled = 0, 0
+    if filled:
+        out.append((group << (6 - filled)) + 63)
+    return bytes(head + out).decode("ascii")
 
 
 def graph_from_pair_mask(n: int, mask: int, pairs) -> Graph:

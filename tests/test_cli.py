@@ -15,7 +15,7 @@ from chibound.cli import main
 from chibound.constructions import (cycle, extremal_omega5, extremal_witnesses,
                                     wheel6)
 from chibound import corpus
-from chibound.corpus import enumerate_class, sample_class
+from chibound.corpus import enumerate_class
 from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
                              serialize_graph6)
 from oracles import random_graph, triangle_free_complement
@@ -95,6 +95,13 @@ class TestCheck:
         assert out == ""
         assert "offset 1" in err
 
+    def test_stream_names_first_bad_character(self, capsys, monkeypatch):
+        # The '!' at offset 1 comes before the non-ASCII 'é' at offset 3.
+        code, out, err = run(capsys, "check", "-", stdin="D!!é\n",
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": "invalid graph6 byte at offset 1"}
+
     def test_dimacs_input(self, capsys, monkeypatch):
         dimacs = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
         code, out, err = run(capsys, "check", "-", "--format", "dimacs",
@@ -159,15 +166,28 @@ class TestDecompose:
         assert failed["error"].startswith("no partitioning pair")
 
 
+# The first 30 members of sample_class(12, 30, 7), frozen so that the pins
+# below do not move with the sampler.
+SAMPLED_N12 = r"""
+KtLI\rpRa[hr KMYRSindZsNP KyTY|@]F~ASJ KwzvWoTEWrbN KRlULTUirxTY
+KVi|\}nQi_iB KJ\z{m@yKnON KesepGdH]sZP KmfpRNte`UdZ Kw~fGoXEWn{p
+K[m~ZE}SQaiJ K~}aquchGN~e KwsvOziFPiej KeGm`Wls`ZYQ K|RnWoXE\bbN
+KezUhngLpRdN K\PlctLZLeHm K`K~h{~N}CX@ KwdvOw\yfSbk KYik{|o[J`rw
+KkLmefRZEfLa KnIKX^oJs]}C KT\I\rE^q\wt KwK^Ek{ynEfe KzFr{OZE~I]p
+KJaK[\obr`MD KQT^Ix^gdqsR KZ]bsIDU|JOn KpNEMMwmI}Jx K}JpOsZzejYl
+""".split()
+
+
 def pinned_stream() -> str:
     """The seven extremal witnesses, 30 sampled n = 12 members, C6, the
     5-pattern, K4 plus two isolated vertices (a 3K1) and a dense G(18, 0.7)."""
-    graphs = [*extremal_witnesses(), *sample_class(12, 30, 7),
-              cycle(6),
-              join(empty_graph(2), disjoint_union(complete_graph(2), empty_graph(1))),
-              disjoint_union(complete_graph(4), empty_graph(2)),
-              random_graph(18, 0.7, random.Random(18))]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+    tail = [cycle(6),
+            join(empty_graph(2), disjoint_union(complete_graph(2), empty_graph(1))),
+            disjoint_union(complete_graph(4), empty_graph(2)),
+            random_graph(18, 0.7, random.Random(18))]
+    lines = [*map(serialize_graph6, extremal_witnesses()), *SAMPLED_N12,
+             *map(serialize_graph6, tail)]
+    return "".join(line + "\n" for line in lines)
 
 
 def dense_stream() -> str:

@@ -13,7 +13,8 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class
 from oracles import (bf_independent_triple, bits_generator,
                      components_by_vertex_scan, parse_graph6_bitwise,
-                     random_graph, triangle_free_complement)
+                     random_graph, serialize_graph6_bitwise,
+                     triangle_free_complement)
 
 import random
 
@@ -100,12 +101,21 @@ class TestGraph6:
                            match="^invalid graph6 byte at offset 1$"):
             parse_graph6("DéW")
 
+    @pytest.mark.parametrize("text", ["A\x01é", "D!!é"])
+    def test_first_bad_character_located(self, text):
+        # The invalid ASCII character at offset 1 comes before the 'é'.
+        with pytest.raises(GraphFormatError,
+                           match="^invalid graph6 byte at offset 1$"):
+            parse_graph6(text)
+
     def test_matches_bitwise_reference(self):
         # Random graphs on 0..64 vertices (n >= 63 takes the extended
-        # header), then one-byte corruptions of each line: the column
-        # decoder gives the reference's graph or its exact error message.
+        # header), then one-byte corruptions of each line, and an invalid
+        # ASCII character before a non-ASCII one: the decoder gives the
+        # reference's graph or its exact error message.
         rng = random.Random(6)
         corrupt_bytes = [chr(c) for c in range(32, 128)] + ["\xe9"]
+        bad_ascii = [chr(c) for c in range(33, 63)] + ["\x01", "\x7f"]
         texts = []
         for n in range(65):
             for _ in range(3):
@@ -115,6 +125,10 @@ class TestGraph6:
                                               for _ in range(5)]:
                     texts.append(line[:off] + rng.choice(corrupt_bytes)
                                  + line[off + 1:])
+                if len(line) >= 2:
+                    first, second = sorted(rng.sample(range(len(line)), 2))
+                    texts.append(line[:first] + rng.choice(bad_ascii)
+                                 + line[first + 1:second] + "\xe9" + line[second + 1:])
         errors = []
         for text in texts:
             got = _parse_outcome(parse_graph6, text)
@@ -129,6 +143,31 @@ class TestGraph6:
     def test_roundtrip_random(self, n, rng):
         g = random_graph(n, 0.5, rng)
         assert parse_graph6(serialize_graph6(g)) == g
+
+
+class TestSerializeGraph6:
+    """The serializer gives the bit-at-a-time reference's string, and the
+    parser reads that string back as the same graph."""
+
+    def _agrees(self, g):
+        line = serialize_graph6(g)
+        assert line == serialize_graph6_bitwise(g), line
+        assert parse_graph6(line) == g, line
+
+    def test_every_graph_up_to_6_vertices(self):
+        graphs = [g for n in range(7) for g in iter_all_graphs(n)]
+        assert len(graphs) == 33868
+        for g in graphs:
+            self._agrees(g)
+
+    def test_random_graphs_up_to_64_vertices(self):
+        # The header takes its extended form from n = 63 on.
+        rng = random.Random(20)
+        for n in range(65):
+            self._agrees(empty_graph(n))
+            self._agrees(complete_graph(n))
+            for _ in range(20):
+                self._agrees(random_graph(n, rng.random(), rng))
 
 
 def _parse_outcome(parse, text):
