@@ -18,7 +18,8 @@ from .constructions import (cycle, extremal_omega5, extremal_witnesses,
                             ramsey_13, wheel6)
 from .corpus import (VALID_CHECKS, exhaustive_population, run_verification,
                      sample_population, validate_checks)
-from .graphs import is_connected, parse_dimacs, parse_graph6, serialize_graph6
+from .graphs import (_BLANKS, is_connected, parse_dimacs, parse_graph6,
+                     serialize_graph6)
 from .invariants import compute_invariants
 from .patterns import check_membership
 from .structure import check_lemma1, choose_partitioning_pair, decompose
@@ -72,7 +73,8 @@ def _inputs(args):
         return [(None, args.graph)]
     if args.format == "dimacs":
         return [(None, sys.stdin.read())]
-    return ((k, line) for k, line in enumerate(sys.stdin, start=1) if line.strip())
+    return ((k, line) for k, line in enumerate(sys.stdin, start=1)
+            if line.strip(_BLANKS))
 
 
 def cmd_per_graph(args) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, is_connected, serialize_graph6
+from .graphs import Graph, _subset_ors, is_connected, serialize_graph6
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -65,13 +65,7 @@ def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple, ...]:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
     edges = [1 << (8 * u + v) | 1 << (8 * v + u) for u, v in pairs]
-    tables = []
-    for k in range(0, len(edges), 8):
-        table = [0]
-        for e in edges[k:k + 8]:
-            table += [t | e for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    return tuple(_subset_ors(edges[k:k + 8]) for k in range(0, len(edges), 8))
 
 
 # (n, a copy of pairs, their tables) of the last call: a caller may edit its

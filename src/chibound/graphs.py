@@ -7,10 +7,12 @@ graphs, so they are safe to share between concurrent workers.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 64
+_BLANKS = " \t\r\n"  # the only characters graph6 and DIMACS input treat as blank
 
 
 class GraphFormatError(ValueError):
@@ -229,18 +231,56 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # graph6 (bit-exact per the published format description)
 #
-# Both directions hold the body as one integer, ``upper``: bit i is the i-th
-# pair of the upper triangle in graph6 order (0,1), (0,2), (1,2), (0,3), ...,
-# so column v is the v bits above the first v*(v-1)/2.  The body is upper's
-# bits lowest first, zero-padded to 6-bit groups, each the byte 63 + group.
+# The body is the upper triangle's bits in graph6 order (0,1), (0,2), (1,2),
+# (0,3), ..., so column v is the v pairs after the first v*(v-1)/2, six to
+# a byte 63 + group, highest bit first, zero-padded in the last byte's low
+# bits.  The serializer ORs each row's bits below v into one integer,
+# ``upper`` (bit i is pair i), and writes it in 6-bit groups.
+#
+# The parser reads graphs on n <= 32 vertices through per-byte tables:
+# entry g of table k is the packed rows -- row v at bit stride*v, stride 8,
+# 16 or 32 -- of the pairs that the bits of group g in body byte k name.  It
+# ORs one entry per body byte and unpacks the n rows with one struct call.
+# The tables of one n are built on its first parse and kept: 1.0 MB for
+# n = 8..20 and 5.9 MB for every n <= 32 (tracemalloc).  At n = 64 alone
+# they would take 8.5 MB, and 133 MB for n = 33..64, so larger graphs read
+# ``upper`` in one ``int(..., 2)`` and peel its columns off the low end.
 
 _SIX_BITS = tuple(format(k, "06b") for k in range(64))  # byte - 63 -> its bits
 _SIX_BYTE = {six: chr(63 + k) for k, six in enumerate(_SIX_BITS)}  # and back
 _NOT_GRAPH6 = re.compile("[^?-~]")  # outside bytes 63..126
+_TABLE_MAX_N = 32
+
+
+def _subset_ors(masks: Sequence[int]) -> tuple[int, ...]:
+    """Entry b: the OR of masks[i] over the set bits i of b."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return tuple(table)
+
+
+def _graph6_tables(n: int) -> tuple:
+    """The body tables of n <= 32 vertices, the struct unpack of the packed
+    rows and their length in bytes."""
+    stride, row = (8, "B") if n <= 8 else (16, "H") if n <= 16 else (32, "I")
+    pairs = [1 << (stride * u + v) | 1 << (stride * v + u)
+             for v in range(1, n) for u in range(v)]
+    pairs += [0] * (-len(pairs) % 6)  # the padding names no pair
+    # Bit 5 of a group is its byte's first pair, bit 0 its sixth.
+    tables = tuple(_subset_ors(pairs[k:k + 6][::-1]) for k in range(0, len(pairs), 6))
+    unpack = struct.Struct(f"<{n}{row}").unpack
+    return tables, unpack, n * stride // 8
+
+
+_graph6_decoders: dict[int, tuple] = {}  # n -> _graph6_tables(n)
 
 
 def parse_graph6(text: str) -> Graph:
-    line = text.strip()
+    """The graph of one graph6 line, with or without the ``>>graph6<<``
+    header.  Only ASCII space, tab, CR and LF around the line are blank;
+    any other character outside ``?``..``~`` is rejected at its offset."""
+    line = text.strip(_BLANKS)
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
@@ -268,10 +308,20 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
     if len(data) - pos > nbytes:
         raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
-    body = "".join([_SIX_BITS[b - 63] for b in data[pos:]])
-    if "1" in body[nbits:]:  # padding fills only the last byte
+    pad = 6 * nbytes - nbits  # the low bits of the last byte
+    if (data[-1] - 63) & ((1 << pad) - 1):
         raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
-    upper = int(body[:nbits][::-1] or "0", 2)
+    if n <= _TABLE_MAX_N:
+        decoder = _graph6_decoders.get(n)
+        if decoder is None:
+            decoder = _graph6_decoders[n] = _graph6_tables(n)
+        tables, unpack, size = decoder
+        packed = 0
+        for table, b in zip(tables, data[pos:]):
+            packed |= table[b - 63]
+        return Graph(n, unpack(packed.to_bytes(size, "little")))
+    body = "".join([_SIX_BITS[b - 63] for b in data[pos:]])
+    upper = int(body[:nbits][::-1], 2)
     adj = [0] * n
     for v in range(1, n):
         adj[v] = col = upper & ((1 << v) - 1)
@@ -308,15 +358,20 @@ def _dimacs_ints(tokens: list[str], lineno: int) -> list[int]:
     return [int(t) for t in tokens]
 
 
+_LINE_BREAK = re.compile("\r\n?|\n")
+_FIELD = re.compile(f"[^{_BLANKS}]+")
+
+
 def parse_dimacs(text: str) -> Graph:
+    """Lines end at CR, LF or CRLF and their fields are split at ASCII
+    blanks; any other character stays in its field."""
     n = None
     declared_m = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
+        parts = _FIELD.findall(raw)
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"duplicate problem line at line {lineno}")

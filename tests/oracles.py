@@ -32,7 +32,7 @@ def parse_graph6_bitwise(text: str) -> Graph:
     """Reference for ``graphs.parse_graph6``: the same checks in the same
     order, then the body decoded one bit at a time, walking (u, v) through
     the upper triangle column by column."""
-    line = text.strip()
+    line = text.strip(" \t\r\n")  # ASCII blanks only
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:

@@ -102,6 +102,17 @@ class TestCheck:
         assert code == 1
         assert json.loads(out) == {"line": 1, "error": "invalid graph6 byte at offset 1"}
 
+    def test_stream_blanks_are_ascii_only(self, capsys, monkeypatch):
+        # \x1f is whitespace to str.strip() but not a blank: line 1 fails
+        # at it, and line 2, holding only it, is a failed line, not skipped.
+        code, out, err = run(capsys, "check", "-", stdin="D?{\x1f\n\x1f\n \t\r\nD?{\n",
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        first, second, third = [json.loads(line) for line in out.splitlines()]
+        assert first == {"line": 1, "error": "invalid graph6 byte at offset 3"}
+        assert second == {"line": 2, "error": "invalid graph6 byte at offset 0"}
+        assert third["graph6"] == "D?{"
+
     def test_dimacs_input(self, capsys, monkeypatch):
         dimacs = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
         code, out, err = run(capsys, "check", "-", "--format", "dimacs",
@@ -208,6 +219,15 @@ def large_stream() -> str:
     return "".join(serialize_graph6(g) + "\n" for g in graphs)
 
 
+def bound_stream() -> str:
+    """Six G(n, p) graphs at each n in 20, 32, 33 and 64, with p from 0.05
+    to 0.95: both sides of the 32-vertex bound of graph6's table decoder."""
+    rng = random.Random(2032)
+    graphs = [random_graph(n, rng.uniform(0.05, 0.95), rng)
+              for n in (20, 32, 33, 64) for _ in range(6)]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
 class TestPerGraphBytes:
     # The sha256 of each pass's stdout over one fixed stream: every record,
     # decompose's error records for graphs without a partitioning pair
@@ -235,6 +255,15 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # The check records, the graph6 echo included, on either side of the
+    # decoder's table bound.
+    def test_bound_stream_check_pinned(self, capsys, monkeypatch):
+        got, out, err = run(capsys, "check", "-", stdin=bound_stream(),
+                            monkeypatch=monkeypatch)
+        assert got == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "d4d0912a78a85806265adfca37355e3ca41a8d6e6f82af82868f395fa2f87ccc"
 
     # Above the exact engine's limit only chi_via_matching gives chi.
     def test_large_stream_invariants_pinned(self, capsys, monkeypatch):

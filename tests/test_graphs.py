@@ -10,6 +10,7 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              induced_subgraph, is_connected, join, parse_dimacs,
                              parse_graph6, relabel, serialize_graph6,
                              triangle_free_complement_rows)
+from chibound import graphs
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class
 from oracles import (bf_independent_triple, bits_generator,
                      components_by_vertex_scan, parse_graph6_bitwise,
@@ -137,6 +138,61 @@ class TestGraph6:
                 errors.append(got)
         assert any("padding" in e for e in errors)
         assert any("invalid graph6 byte" in e for e in errors)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("D?{\x1f", 3), ("D?{\x0b", 3), ("D?{\x0c", 3), ("\u3000D?{\x85", 0),
+        ("\x1cD?{", 0), ("D?{\u2028", 3), ("D?{\xa0\n", 3),
+    ])
+    def test_only_ascii_blanks_stripped(self, text, offset):
+        # Every other character, whitespace to str.strip() or not, is read
+        # where it stands.
+        for parse in (parse_graph6, parse_graph6_bitwise):
+            assert _parse_outcome(parse, text) == \
+                f"invalid graph6 byte at offset {offset}"
+
+    def test_ascii_blanks_stripped(self):
+        star = parse_graph6("D?{")
+        for text in (" D?{\n", "\tD?{\r\n", "\r\n D?{ \t", ">>graph6<<D?{\n"):
+            assert parse_graph6(text) == parse_graph6_bitwise(text) == star
+
+    @pytest.mark.parametrize("n, pad", [(26, 5), (31, 3), (32, 2), (33, 0), (35, 5)])
+    def test_failures_across_table_bound(self, n, pad):
+        # n = 31..33 straddle the 32-vertex table bound; with n = 26 and 35
+        # the last byte carries every padding width that occurs: 0, 2, 3, 5.
+        assert pad == -(n * (n - 1) // 2) % 6
+        rng = random.Random(n)
+        line = serialize_graph6(random_graph(n, 0.5, rng))
+        last = ord(line[-1]) - 63
+        texts = [line, line[:-1], line[:2], line + "?", line + "~", line + "?\n"]
+        texts += [line[:-1] + chr(63 + (last | low)) for low in range(1, 1 << pad)]
+        for text in texts:
+            got = _parse_outcome(parse_graph6, text)
+            assert got == _parse_outcome(parse_graph6_bitwise, text), text
+        errors = [_parse_outcome(parse_graph6, t) for t in texts[1:]]
+        assert sum("padding" in e for e in errors) == (1 << pad) - 1
+        assert sum("truncated" in e for e in errors) == 2
+        assert sum("trailing garbage" in e for e in errors) == 3
+
+    def test_extended_header_up_to_the_bound(self):
+        # The '~' form is only required above 62 vertices, but any n may
+        # use it.
+        rng = random.Random(32)
+        for n in range(33):
+            g = random_graph(n, rng.random(), rng)
+            line = "~??" + serialize_graph6(g)
+            assert parse_graph6(line) == parse_graph6_bitwise(line) == g
+
+    def test_tables_built_once_per_vertex_count(self, monkeypatch):
+        built = []
+        real = graphs._graph6_tables
+        monkeypatch.setattr(graphs, "_graph6_decoders", {})
+        monkeypatch.setattr(graphs, "_graph6_tables",
+                            lambda n: built.append(n) or real(n))
+        rng = random.Random(9)
+        for n in (20, 9, 20, 33, 9, 64, 32, 20) * 3:
+            g = random_graph(n, rng.random(), rng)
+            assert parse_graph6(serialize_graph6(g)) == g
+        assert built == [20, 9, 32]  # none above the bound
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 12), st.randoms(use_true_random=False))
@@ -412,6 +468,23 @@ class TestDimacs:
     def test_bad_edge_located(self, edge, message):
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
             parse_dimacs(f"p edge 3 1\n{edge}\n")
+
+    def test_only_ascii_blanks_split(self):
+        # \x1c and \x85 end a line for str.splitlines() but not here: the
+        # problem line keeps them inside its fields.
+        with pytest.raises(GraphFormatError,
+                           match="^malformed problem line at line 1$"):
+            parse_dimacs("p edge 3 2\x1ce 1 2\x85e 2 3")
+        assert _parse_outcome(parse_dimacs, "p edge 3 1\ne 1 2\xa0\n") == \
+            r"expected a non-negative integer, got '2\xa0' at line 2"
+
+    def test_cr_lf_and_crlf_end_lines(self):
+        path = [(0, 1), (1, 2)]
+        for text in ("p edge 3 2\ne 1 2\ne 2 3\n", "p edge 3 2\r\ne 1 2\r\ne 2 3\r\n",
+                     "c x\rp edge 3 2\re 1 2\r\te 2 3 \r", "p\tedge 3 2\n\ne 1\t2\ne 2 3"):
+            assert sorted(parse_dimacs(text).edges()) == path
+        with pytest.raises(GraphFormatError, match="at line 3$"):
+            parse_dimacs("p edge 3 1\r\n\r\ne 1 x\r\n")
 
     @pytest.mark.parametrize("text, field", [
         ("c header next\np edge x 1\n", "x"),
