@@ -31,11 +31,7 @@ EXIT_VIOLATION = 3
 _SEVERITY = (EXIT_OK, EXIT_EXCLUDED, EXIT_ERROR)  # a stream exits with the worst
 
 
-class CliError(Exception):
-    pass
-
-
-_FAILURES = (CliError, ValueError, RuntimeError, OSError)  # input and file errors
+_FAILURES = (ValueError, RuntimeError, OSError)  # input and file errors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +57,8 @@ def answer_invariants(g, args) -> tuple[dict, int]:
 def answer_decompose(g, args) -> tuple[dict, int]:
     pair = args.pair or choose_partitioning_pair(g)
     if pair is None:
-        raise CliError("no partitioning pair: every maximum-degree "
-                       "vertex is adjacent to all others")
+        raise ValueError("no partitioning pair: every maximum-degree "
+                         "vertex is adjacent to all others")
     dec = decompose(g, *pair)
     return {**dec.to_json_dict(), **check_lemma1(g, dec)}, EXIT_OK
 
@@ -113,11 +109,11 @@ def cmd_gen(args) -> int:
 def cmd_corpus(args) -> int:
     if args.mode == "exhaustive":
         if len(args.params) != 1:
-            raise CliError("corpus exhaustive takes exactly one parameter: n")
+            raise ValueError("corpus exhaustive takes exactly one parameter: n")
         population = exhaustive_population(args.params[0])
     else:
         if len(args.params) != 3:
-            raise CliError("corpus sample takes: n count seed")
+            raise ValueError("corpus sample takes: n count seed")
         population = sample_population(*args.params)
     checks = validate_checks(c.strip() for c in args.checks.split(",") if c.strip())
     # Opened after every argument is checked, so that a rejected command

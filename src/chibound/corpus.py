@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, _subset_ors, is_connected, serialize_graph6
+from .graphs import (_TABLE_MAX_N, Graph, _row_tables, is_connected,
+                     serialize_graph6, upper_pairs)
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -46,48 +47,38 @@ def _check_sample_size(n: int, count: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-@functools.cache
-def _pair_bits(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for v in range(1, n) for u in range(v))
-
-
-EDGE_MASK_MAX_N = 8  # one byte per packed adjacency row
-
-
-def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[tuple, ...]:
-    """Per-byte tables for graph_from_edge_mask: ``tables[k][b]`` is the
-    packed adjacency -- row v in byte v -- of the edges pairs[8k + i] for the
-    set bits i of the byte value b."""
-    if not 0 <= n <= EDGE_MASK_MAX_N:
+def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple:
+    """graph_from_edge_mask's row tables of pairs, eight pairs a table."""
+    if not 0 <= n <= _TABLE_MAX_N:
         raise ValueError(f"edge-mask graphs support 0 <= n <= "
-                         f"{EDGE_MASK_MAX_N}, got n={n}")
+                         f"{_TABLE_MAX_N}, got n={n}")
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
-    edges = [1 << (8 * u + v) | 1 << (8 * v + u) for u, v in pairs]
-    return tuple(_subset_ors(edges[k:k + 8]) for k in range(0, len(edges), 8))
+    return _row_tables(n, pairs, 8)
 
 
-# (n, a copy of pairs, their tables) of the last call: a caller may edit its
-# list in place, so every call compares its pairs with the copy.
-_edge_memo: tuple = (-1, (), ())
+# (n, a copy of pairs, their row tables) of the last call: a caller may edit
+# its list in place, so every call compares its pairs with the copy.
+_edge_memo: tuple = (None, (), None)
 
 
 def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
-    """The graph on n <= 8 vertices with the edges pairs[i] for the set bits
-    i of mask."""
+    """The graph on n <= 32 vertices with the edges pairs[i] for the set
+    bits i of mask."""
     global _edge_memo
-    memo_n, memo_pairs, tables = _edge_memo
+    memo_n, memo_pairs, decoder = _edge_memo
     if n != memo_n or pairs != memo_pairs:
-        tables = _edge_tables(n, pairs)
-        _edge_memo = (n, pairs[:], tables)
+        decoder = _edge_tables(n, pairs)
+        _edge_memo = (n, pairs[:], decoder)
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"edge mask {mask} outside [0, 2**{len(pairs)})")
+    tables, unpack, size = decoder
     packed = 0
     for table in tables:
         packed |= table[mask & 255]
         mask >>= 8
-    return Graph(n, tuple(packed.to_bytes(n, "little")))
+    return Graph(n, unpack(packed.to_bytes(size, "little")))
 
 
 def iter_all_graphs(n: int) -> Iterator[Graph]:
@@ -95,7 +86,7 @@ def iter_all_graphs(n: int) -> Iterator[Graph]:
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive enumeration supports 0 <= n <= "
                          f"{ENUMERATION_LIMIT}, got n={n}")
-    pairs = _pair_bits(n)
+    pairs = upper_pairs(n)
     for mask in range(1 << len(pairs)):
         yield graph_from_edge_mask(n, mask, pairs)
 
@@ -117,7 +108,7 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     """
     _check_sample_size(n, count, seed)
     getrandbits = random.Random(seed).getrandbits
-    base_pairs = list(_pair_bits(n))
+    base_pairs = list(upper_pairs(n))
     # random.shuffle's Fisher-Yates on getrandbits, inlined: the same draws,
     # so the same stream as rng.shuffle(pairs) for a seed.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_pairs) - 1, 0, -1)]

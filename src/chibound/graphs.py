@@ -6,6 +6,7 @@ graphs, so they are safe to share between concurrent workers.
 """
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass
@@ -231,96 +232,103 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # graph6 (bit-exact per the published format description)
 #
-# The body is the upper triangle's bits in graph6 order (0,1), (0,2), (1,2),
-# (0,3), ..., so column v is the v pairs after the first v*(v-1)/2, six to
+# The body is the upper triangle's bits in the order of upper_pairs, six to
 # a byte 63 + group, highest bit first, zero-padded in the last byte's low
 # bits.  The serializer ORs each row's bits below v into one integer,
 # ``upper`` (bit i is pair i), and writes it in 6-bit groups.
 #
-# The parser reads graphs on n <= 32 vertices through per-byte tables:
-# entry g of table k is the packed rows -- row v at bit stride*v, stride 8,
-# 16 or 32 -- of the pairs that the bits of group g in body byte k name.  It
-# ORs one entry per body byte and unpacks the n rows with one struct call.
-# The tables of one n are built on its first parse and kept: 1.0 MB for
-# n = 8..20 and 5.9 MB for every n <= 32 (tracemalloc).  At n = 64 alone
-# they would take 8.5 MB, and 133 MB for n = 33..64, so larger graphs read
-# ``upper`` in one ``int(..., 2)`` and peel its columns off the low end.
+# The parser reads graphs on n <= 32 vertices through the row tables of
+# upper_pairs(n), six pairs a table: one translate puts each body byte's
+# first pair in bit 0, and the parser ORs one entry per byte and unpacks the
+# n rows with one struct call.  The tables of one n are built on its first
+# parse and kept: 1.0 MB for n = 8..20 and 5.9 MB for every n <= 32
+# (tracemalloc).  At n = 64 alone they would take 8.5 MB, and 133 MB for
+# n = 33..64, so larger graphs read ``upper`` in one ``int(..., 2)`` and
+# peel its columns off the low end.  Offsets count in the line as given,
+# its leading blanks and header included.
 
 _SIX_BITS = tuple(format(k, "06b") for k in range(64))  # byte - 63 -> its bits
 _SIX_BYTE = {six: chr(63 + k) for k, six in enumerate(_SIX_BITS)}  # and back
+# byte -> its group with the byte's first pair in bit 0, for bytes.translate
+_FIRST_PAIR_LOW = bytes(63) + bytes([int(six[::-1], 2) for six in _SIX_BITS]) + bytes(129)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # outside bytes 63..126
 _TABLE_MAX_N = 32
 
 
-def _subset_ors(masks: Sequence[int]) -> tuple[int, ...]:
-    """Entry b: the OR of masks[i] over the set bits i of b."""
-    table = [0]
-    for m in masks:
-        table += [t | m for t in table]
-    return tuple(table)
+@functools.cache
+def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs u < v of n vertices in graph6 order (0,1), (0,2), (1,2),
+    (0,3), ...: bit i of ``upper`` or of an enumeration edge mask is pair i."""
+    return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def _graph6_tables(n: int) -> tuple:
-    """The body tables of n <= 32 vertices, the struct unpack of the packed
-    rows and their length in bytes."""
+def _row_tables(n: int, pairs: Sequence[tuple[int, int]], width: int) -> tuple:
+    """The row tables of pairs on n <= 32 vertices, the struct unpack of the
+    packed rows and their length in bytes.  Entry g of table k holds the
+    packed rows -- row v at bit stride*v, stride 8, 16 or 32 -- of the pairs
+    pairs[width*k + i] for the set bits i of g."""
     stride, row = (8, "B") if n <= 8 else (16, "H") if n <= 16 else (32, "I")
-    pairs = [1 << (stride * u + v) | 1 << (stride * v + u)
-             for v in range(1, n) for u in range(v)]
-    pairs += [0] * (-len(pairs) % 6)  # the padding names no pair
-    # Bit 5 of a group is its byte's first pair, bit 0 its sixth.
-    tables = tuple(_subset_ors(pairs[k:k + 6][::-1]) for k in range(0, len(pairs), 6))
-    unpack = struct.Struct(f"<{n}{row}").unpack
-    return tables, unpack, n * stride // 8
+    edges = [1 << (stride * u + v) | 1 << (stride * v + u) for u, v in pairs]
+    tables = []
+    for k in range(0, len(edges), width):
+        table = [0]
+        for edge in edges[k:k + width]:  # doubling: bit i adds edges[k + i]
+            table += [t | edge for t in table]
+        tables.append(tuple(table))
+    return tuple(tables), struct.Struct(f"<{n}{row}").unpack, n * stride // 8
 
 
-_graph6_decoders: dict[int, tuple] = {}  # n -> _graph6_tables(n)
+_graph6_decoders: dict[int, tuple] = {}  # n -> its graph6 row tables
 
 
 def parse_graph6(text: str) -> Graph:
     """The graph of one graph6 line, with or without the ``>>graph6<<``
     header.  Only ASCII space, tab, CR and LF around the line are blank;
     any other character outside ``?``..``~`` is rejected at its offset."""
-    line = text.strip(_BLANKS)
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
-    if not line:
+    start = len(text) - len(text.lstrip(_BLANKS))
+    end = len(text.rstrip(_BLANKS))
+    if text.startswith(">>graph6<<", start):
+        start += len(">>graph6<<")
+    if start >= end:
         raise GraphFormatError("empty graph6 input")
-    bad = _NOT_GRAPH6.search(line)
+    bad = _NOT_GRAPH6.search(text, start, end)
     if bad:
         raise GraphFormatError(f"invalid graph6 byte at offset {bad.start()}")
-    data = line.encode("ascii")
-    if data[0] == 126:  # '~': extended vertex count
-        if len(data) >= 2 and data[1] == 126:
-            raise GraphFormatError("graph counts beyond 2^18 not supported (offset 1)")
-        if len(data) < 4:
-            raise GraphFormatError("truncated graph6 header (offset 0)")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        pos = 4
+    data = text.encode("ascii")  # the blanks and header around the line are ASCII
+    if data[start] == 126:  # '~': extended vertex count
+        if end - start >= 2 and data[start + 1] == 126:
+            raise GraphFormatError(
+                f"graph counts beyond 2^18 not supported (offset {start + 1})")
+        if end - start < 4:
+            raise GraphFormatError(f"truncated graph6 header (offset {start})")
+        hi, mid, lo = data[start + 1:start + 4]
+        n = (hi - 63) << 12 | (mid - 63) << 6 | (lo - 63)
+        pos = start + 4
     else:
-        n = data[0] - 63
-        pos = 1
+        n = data[start] - 63
+        pos = start + 1
     if n > MAX_VERTICES:
-        raise GraphFormatError(
-            f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex kernel (offset 0)")
+        raise GraphFormatError(f"graph on {n} vertices exceeds the "
+                               f"{MAX_VERTICES}-vertex kernel (offset {start})")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos < nbytes:
-        raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
-    if len(data) - pos > nbytes:
+    if end - pos < nbytes:
+        raise GraphFormatError(f"truncated graph6 body at offset {end}")
+    if end - pos > nbytes:
         raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
     pad = 6 * nbytes - nbits  # the low bits of the last byte
-    if (data[-1] - 63) & ((1 << pad) - 1):
-        raise GraphFormatError(f"nonzero padding bit at offset {len(data) - 1}")
+    if (data[end - 1] - 63) & ((1 << pad) - 1):
+        raise GraphFormatError(f"nonzero padding bit at offset {end - 1}")
     if n <= _TABLE_MAX_N:
         decoder = _graph6_decoders.get(n)
         if decoder is None:
-            decoder = _graph6_decoders[n] = _graph6_tables(n)
+            decoder = _graph6_decoders[n] = _row_tables(n, upper_pairs(n), 6)
         tables, unpack, size = decoder
         packed = 0
-        for table, b in zip(tables, data[pos:]):
-            packed |= table[b - 63]
+        for table, g in zip(tables, data[pos:end].translate(_FIRST_PAIR_LOW)):
+            packed |= table[g]
         return Graph(n, unpack(packed.to_bytes(size, "little")))
-    body = "".join([_SIX_BITS[b - 63] for b in data[pos:]])
+    body = "".join([_SIX_BITS[b - 63] for b in data[pos:end]])
     upper = int(body[:nbits][::-1], 2)
     adj = [0] * n
     for v in range(1, n):

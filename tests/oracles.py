@@ -31,35 +31,41 @@ def bits_generator(mask: int):
 def parse_graph6_bitwise(text: str) -> Graph:
     """Reference for ``graphs.parse_graph6``: the same checks in the same
     order, then the body decoded one bit at a time, walking (u, v) through
-    the upper triangle column by column."""
-    line = text.strip(" \t\r\n")  # ASCII blanks only
+    the upper triangle column by column.  Offsets count in the text as
+    given: ``at`` is the length of the blanks and header before the line."""
+    at = 0
+    while at < len(text) and text[at] in " \t\r\n":  # ASCII blanks only
+        at += 1
+    line = text[at:].rstrip(" \t\r\n")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+        at += len(">>graph6<<")
     if not line:
         raise GraphFormatError("empty graph6 input")
     for off, char in enumerate(line):  # the first character outside 63..126
         if not 63 <= ord(char) <= 126:
-            raise GraphFormatError(f"invalid graph6 byte at offset {off}")
+            raise GraphFormatError(f"invalid graph6 byte at offset {at + off}")
     data = line.encode("ascii")
     if data[0] == 126:  # '~': extended vertex count
         if len(data) >= 2 and data[1] == 126:
-            raise GraphFormatError("graph counts beyond 2^18 not supported (offset 1)")
+            raise GraphFormatError(
+                f"graph counts beyond 2^18 not supported (offset {at + 1})")
         if len(data) < 4:
-            raise GraphFormatError("truncated graph6 header (offset 0)")
+            raise GraphFormatError(f"truncated graph6 header (offset {at})")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         pos = 4
     else:
         n = data[0] - 63
         pos = 1
     if n > MAX_VERTICES:
-        raise GraphFormatError(
-            f"graph on {n} vertices exceeds the {MAX_VERTICES}-vertex kernel (offset 0)")
+        raise GraphFormatError(f"graph on {n} vertices exceeds the "
+                               f"{MAX_VERTICES}-vertex kernel (offset {at})")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
-        raise GraphFormatError(f"truncated graph6 body at offset {len(data)}")
+        raise GraphFormatError(f"truncated graph6 body at offset {at + len(data)}")
     if len(data) - pos > nbytes:
-        raise GraphFormatError(f"trailing garbage at offset {pos + nbytes}")
+        raise GraphFormatError(f"trailing garbage at offset {at + pos + nbytes}")
     adj = [0] * n
     bit = 0
     u, v = 0, 1
@@ -68,7 +74,8 @@ def parse_graph6_bitwise(text: str) -> Graph:
         for k in range(5, -1, -1):
             if bit >= nbits:
                 if group >> k & 1:
-                    raise GraphFormatError(f"nonzero padding bit at offset {i}")
+                    raise GraphFormatError(
+                        f"nonzero padding bit at offset {at + i}")
                 continue
             if group >> k & 1:
                 adj[u] |= 1 << v

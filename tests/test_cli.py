@@ -102,6 +102,13 @@ class TestCheck:
         assert code == 1
         assert json.loads(out) == {"line": 1, "error": "invalid graph6 byte at offset 1"}
 
+    def test_stream_offsets_count_leading_blanks(self, capsys, monkeypatch):
+        # The extra '?' stands at offset 4 of the line, after its tab.
+        code, out, err = run(capsys, "check", "-", stdin="\tD?{?\n",
+                             monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": "trailing garbage at offset 4"}
+
     def test_stream_blanks_are_ascii_only(self, capsys, monkeypatch):
         # \x1f is whitespace to str.strip() but not a blank: line 1 fails
         # at it, and line 2, holding only it, is a failed line, not skipped.

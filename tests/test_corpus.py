@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import zlib
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from chibound.corpus import (VALID_CHECKS, CorpusReport, Population, enumerate_c
                              graph_from_edge_mask, iter_all_graphs,
                              run_verification, sample_class,
                              sample_population, validate_checks)
-from chibound.graphs import complete_graph, empty_graph, from_edges, join, serialize_graph6
+from chibound.graphs import (complete_graph, empty_graph, from_edges, join, parse_graph6,
+                             serialize_graph6, upper_pairs)
 from chibound.invariants import clique_number
 from chibound.structure import all_partitioning_pairs
 from chibound.patterns import (check_membership, complement_oracle_check,
@@ -130,11 +132,57 @@ class TestGraphFromEdgeMask:
         (3, -1, pair_list(3), "outside"),
         (3, 1, [(0, 3)], "not an edge of K3"),
         (3, 1, [(1, 1)], "not an edge of K3"),
-        (9, 0, pair_list(9), "0 <= n <= 8, got n=9"),
+        (33, 0, pair_list(33), "0 <= n <= 32, got n=33"),
     ])
     def test_bad_input_rejected(self, n, mask, pairs, message):
         with pytest.raises(ValueError, match=message):
             graph_from_edge_mask(n, mask, pairs)
+
+
+def graph6_of_mask(n, mask):
+    """The graph6 line on n <= 62 vertices whose body bit i is bit i of
+    mask: six bits a byte, the first in its highest bit, zero-padded."""
+    nbits = n * (n - 1) // 2
+    body = ""
+    for k in range(0, nbits, 6):
+        group = 0
+        for i in range(k, k + 6):
+            group = group << 1 | mask >> i & 1
+        body += chr(63 + group)
+    return chr(63 + n) + body
+
+
+class TestOnePairOrder:
+    """Bit i of an edge mask and of a graph6 body name the same pair,
+    upper_pairs(n)[i]."""
+
+    def _agree(self, n, mask):
+        pairs = upper_pairs(n)
+        g = graph_from_edge_mask(n, mask, pairs)
+        assert g == parse_graph6(graph6_of_mask(n, mask)) == \
+            graph_from_pair_mask(n, mask, pairs), (n, mask)
+
+    def test_every_mask_up_to_n5(self):
+        for n in range(6):
+            for mask in range(1 << n * (n - 1) // 2):
+                self._agree(n, mask)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 32])
+    def test_seeded_masks(self, n):
+        nbits = n * (n - 1) // 2
+        rng = random.Random(n)
+        for _ in range(2000):
+            self._agree(n, rng.getrandbits(nbits))
+
+    def test_enumeration_passes_upper_pairs(self, monkeypatch):
+        seen = []
+        real = corpus.graph_from_edge_mask
+        monkeypatch.setattr(corpus, "graph_from_edge_mask",
+                            lambda n, mask, pairs: seen.append(pairs) or real(n, mask, pairs))
+        for n in range(8):
+            seen.clear()
+            assert len(list(islice(iter_all_graphs(n), 100))) == len(seen) > 0
+            assert all(pairs is upper_pairs(n) for pairs in seen), n
 
 
 class TestSample:

@@ -122,14 +122,16 @@ class TestGraph6:
             for _ in range(3):
                 line = serialize_graph6(random_graph(n, rng.random(), rng))
                 texts += [line, ">>graph6<<" + line]
-                for off in [len(line) - 1] + [rng.randrange(len(line))
-                                              for _ in range(5)]:
-                    texts.append(line[:off] + rng.choice(corrupt_bytes)
-                                 + line[off + 1:])
+                corrupted = [line[:off] + rng.choice(corrupt_bytes) + line[off + 1:]
+                             for off in [len(line) - 1] + [rng.randrange(len(line))
+                                                           for _ in range(5)]]
                 if len(line) >= 2:
                     first, second = sorted(rng.sample(range(len(line)), 2))
-                    texts.append(line[:first] + rng.choice(bad_ascii)
-                                 + line[first + 1:second] + "\xe9" + line[second + 1:])
+                    corrupted.append(line[:first] + rng.choice(bad_ascii)
+                                     + line[first + 1:second] + "\xe9" + line[second + 1:])
+                # Offsets count the leading blanks and the header too.
+                texts += [prefix + text for text in corrupted
+                          for prefix in ("", " \t", ">>graph6<<", "\r\n>>graph6<<")]
         errors = []
         for text in texts:
             got = _parse_outcome(parse_graph6, text)
@@ -149,6 +151,21 @@ class TestGraph6:
         for parse in (parse_graph6, parse_graph6_bitwise):
             assert _parse_outcome(parse, text) == \
                 f"invalid graph6 byte at offset {offset}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("  D?!", "invalid graph6 byte at offset 4"),
+        (">>graph6<<D?!", "invalid graph6 byte at offset 12"),
+        (" \t>>graph6<<D?!\n", "invalid graph6 byte at offset 14"),
+        (">>graph6<<D?", "truncated graph6 body at offset 12"),
+        ("\tD?{?\n", "trailing garbage at offset 4"),
+        (" A~", "nonzero padding bit at offset 2"),
+        (" ~~???", "graph counts beyond 2^18 not supported (offset 2)"),
+        (">>graph6<<~??", "truncated graph6 header (offset 10)"),
+        ("\t~?B?" + "?" * 100, "graph on 192 vertices exceeds the 64-vertex kernel (offset 1)"),
+    ])
+    def test_offsets_count_in_the_line_as_given(self, text, message):
+        for parse in (parse_graph6, parse_graph6_bitwise):
+            assert _parse_outcome(parse, text) == message
 
     def test_ascii_blanks_stripped(self):
         star = parse_graph6("D?{")
@@ -184,10 +201,10 @@ class TestGraph6:
 
     def test_tables_built_once_per_vertex_count(self, monkeypatch):
         built = []
-        real = graphs._graph6_tables
+        real = graphs._row_tables
         monkeypatch.setattr(graphs, "_graph6_decoders", {})
-        monkeypatch.setattr(graphs, "_graph6_tables",
-                            lambda n: built.append(n) or real(n))
+        monkeypatch.setattr(graphs, "_row_tables",
+                            lambda n, pairs, width: built.append(n) or real(n, pairs, width))
         rng = random.Random(9)
         for n in (20, 9, 20, 33, 9, 64, 32, 20) * 3:
             g = random_graph(n, rng.random(), rng)
