@@ -106,20 +106,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# corpus mode -> its population builder and the names of its parameters
+_POPULATIONS = {"exhaustive": (exhaustive_population, ("n",)),
+                "sample": (sample_population, ("n", "count", "seed"))}
+
+
 def cmd_corpus(args) -> int:
-    if args.mode == "exhaustive":
-        if len(args.params) != 1:
-            raise ValueError("corpus exhaustive takes exactly one parameter: n")
-        population = exhaustive_population(args.params[0])
-    else:
-        if len(args.params) != 3:
-            raise ValueError("corpus sample takes: n count seed")
-        population = sample_population(*args.params)
+    build, names = _POPULATIONS[args.mode]
+    if len(args.params) != len(names):
+        raise ValueError(f"corpus {args.mode} takes: {' '.join(names)}")
+    population = build(*args.params)
     checks = validate_checks(c.strip() for c in args.checks.split(",") if c.strip())
     # Opened after every argument is checked, so that a rejected command
     # leaves no file behind, and before the campaign, so that an unwritable
     # path fails before it runs.
-    with open(args.dump_violations or os.devnull, "w") as dump:
+    path = os.devnull if args.dump_violations is None else args.dump_violations
+    with open(path, "w") as dump:
         report = run_verification(population, checks, jobs=args.jobs)
         print(report.to_json())
         # Each violating graph once, in the order of its first violation.
@@ -183,9 +185,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("corpus", help="run a verification campaign")
-    p.add_argument("mode", choices=("exhaustive", "sample"))
-    p.add_argument("params", nargs="+", type=_integer,
-                   help="exhaustive: n; sample: n count seed")
+    p.add_argument("mode", choices=sorted(_POPULATIONS))
+    p.add_argument("params", nargs="*", type=_integer,
+                   help="; ".join(f"{mode}: {' '.join(names)}"
+                                  for mode, (_, names) in _POPULATIONS.items()))
     p.add_argument("--checks", default="bound",
                    help=f"comma list from {','.join(VALID_CHECKS)}")
     p.add_argument("--jobs", type=_job_count, default=1,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import (_TABLE_MAX_N, Graph, _row_tables, is_connected,
-                     serialize_graph6, upper_pairs)
+from .graphs import (Graph, _row_tables, is_connected, serialize_graph6,
+                     upper_pairs)
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
 from .patterns import complement_oracle_check, is_class_member
@@ -29,6 +29,7 @@ from .structure import (FAILS, HOLDS, PROPERTY_NAMES, VACUOUS,
                         all_partitioning_pairs, check_lemma1, decompose)
 
 VALID_CHECKS = ("bound", "lemma1", "lemma2", "oracle")
+_BLOCKS = ("oracle", "lemma1", "lemma2")  # the report's check blocks, JSON order
 ENUMERATION_LIMIT = 7
 SAMPLE_MIN_N = 8
 SAMPLE_MAX_N = 14
@@ -47,19 +48,9 @@ def _check_sample_size(n: int, count: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _edge_tables(n: int, pairs: Sequence[tuple[int, int]]) -> tuple:
-    """graph_from_edge_mask's row tables of pairs, eight pairs a table."""
-    if not 0 <= n <= _TABLE_MAX_N:
-        raise ValueError(f"edge-mask graphs support 0 <= n <= "
-                         f"{_TABLE_MAX_N}, got n={n}")
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
-    return _row_tables(n, pairs, 8)
-
-
-# (n, a copy of pairs, their row tables) of the last call: a caller may edit
-# its list in place, so every call compares its pairs with the copy.
+# (n, a copy of pairs, their row tables, eight pairs a table) of the last
+# call: a caller may edit its list in place, so every call compares its
+# pairs with the copy.
 _edge_memo: tuple = (None, (), None)
 
 
@@ -69,7 +60,7 @@ def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) ->
     global _edge_memo
     memo_n, memo_pairs, decoder = _edge_memo
     if n != memo_n or pairs != memo_pairs:
-        decoder = _edge_tables(n, pairs)
+        decoder = _row_tables(n, pairs, 8)
         _edge_memo = (n, pairs[:], decoder)
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"edge mask {mask} outside [0, 2**{len(pairs)})")
@@ -213,12 +204,11 @@ class CorpusReport:
         self.graphs += part.graphs
         self.members += part.members
         self.disconnected_members += part.disconnected_members
-        for mine, theirs in ((self.omega_histogram, part.omega_histogram),
-                             (self.oracle, part.oracle),
-                             (self.lemma1, part.lemma1),
-                             (self.lemma2, part.lemma2)):
+        _add_counts(self.omega_histogram, part.omega_histogram)
+        for block in _BLOCKS:
+            mine = getattr(self, block)
             if mine is not None:
-                _add_counts(mine, theirs)
+                _add_counts(mine, getattr(part, block))
         self.violations += part.violations
 
     def to_json_dict(self) -> dict:
@@ -232,7 +222,7 @@ class CorpusReport:
                 str(k): self.omega_histogram[k] for k in sorted(self.omega_histogram)
             },
         }
-        for block in ("oracle", "lemma1", "lemma2"):
+        for block in _BLOCKS:
             if getattr(self, block) is not None:
                 d[block] = getattr(self, block)
         d["violations"] = self.violations
@@ -255,17 +245,16 @@ def _add_counts(total: dict, part: dict) -> None:
             total[key] += value
 
 
-def _check_member(g: Graph, report: CorpusReport, bound: bool, lemma2: bool,
-                  lemma1_rows: list | None) -> None:
-    """The checks that only class members get.  bound and lemma2 say whether
-    those checks run; lemma1_rows, when lemma1 runs, are the tally rows of
-    its properties in PROPERTY_NAMES order."""
+def _check_member(g: Graph, report: CorpusReport) -> None:
+    """The checks that only class members get, those of report.checks."""
     report.members += 1
     connected = is_connected(g)
     if not connected:
         report.disconnected_members += 1
 
-    if bound or lemma2:
+    bound = "bound" in report.checks
+    lemma2 = report.lemma2
+    if bound or lemma2 is not None:
         omega = clique_number(g)
         chi, _ = chi_via_matching(g)
     if bound:
@@ -287,8 +276,8 @@ def _check_member(g: Graph, report: CorpusReport, bound: bool, lemma2: bool,
             if exact_chi != chi:
                 report.add_violation(
                     "engine", g, f"matching chi={chi}, exact chi={exact_chi}")
-    if lemma2 and connected and omega == 3:
-        report.lemma2["checked"] += 1
+    if lemma2 is not None and connected and omega == 3:
+        lemma2["checked"] += 1
         problems = []
         delta = g.max_degree()
         if delta > 5:
@@ -299,13 +288,15 @@ def _check_member(g: Graph, report: CorpusReport, bound: bool, lemma2: bool,
             problems.append(f"chi={chi}")
         if problems:
             report.add_violation("lemma2", g, ", ".join(problems))
-    if lemma1_rows is not None:
+    lemma1 = report.lemma1
+    if lemma1 is not None:
         pairs = all_partitioning_pairs(g)
-        report.lemma1["pairs_checked"] += len(pairs)
+        lemma1["pairs_checked"] += len(pairs)
+        rows = lemma1["properties"].values()  # PROPERTY_NAMES order
         for v, w in pairs:
             dec = decompose(g, v, w, check_class=False)
             verdicts = check_lemma1(g, dec)["properties"]
-            for row, (name, verdict) in zip(lemma1_rows, verdicts.items()):
+            for row, (name, verdict) in zip(rows, verdicts.items()):
                 status = verdict["status"]
                 row[status] += 1
                 if status == FAILS:
@@ -329,10 +320,6 @@ def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusRepo
     oracle = report.oracle
     if oracle is not None:
         oracle["checked"] = len(graphs)
-    bound = "bound" in checks
-    lemma2 = "lemma2" in checks
-    lemma1_rows = (None if report.lemma1 is None else
-                   [report.lemma1["properties"][p] for p in PROPERTY_NAMES])
     for g in graphs:
         member = is_class_member(g)
         if oracle is not None and complement_oracle_check(g) != member:
@@ -340,7 +327,7 @@ def _run_chunk(graphs: tuple[Graph, ...], checks: tuple[str, ...]) -> CorpusRepo
             report.add_violation(
                 "oracle", g, f"direct={member}, complement oracle={not member}")
         if member:
-            _check_member(g, report, bound, lemma2, lemma1_rows)
+            _check_member(g, report)
     return report
 
 

@@ -266,7 +266,13 @@ def _row_tables(n: int, pairs: Sequence[tuple[int, int]], width: int) -> tuple:
     """The row tables of pairs on n <= 32 vertices, the struct unpack of the
     packed rows and their length in bytes.  Entry g of table k holds the
     packed rows -- row v at bit stride*v, stride 8, 16 or 32 -- of the pairs
-    pairs[width*k + i] for the set bits i of g."""
+    pairs[width*k + i] for the set bits i of g.  Raises ValueError if n is
+    out of range or a pair is not an edge of Kn."""
+    if not 0 <= n <= _TABLE_MAX_N:
+        raise ValueError(f"row tables support 0 <= n <= {_TABLE_MAX_N}, got n={n}")
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
     stride, row = (8, "B") if n <= 8 else (16, "H") if n <= 16 else (32, "I")
     edges = [1 << (stride * u + v) | 1 << (stride * v + u) for u, v in pairs]
     tables = []
@@ -278,7 +284,10 @@ def _row_tables(n: int, pairs: Sequence[tuple[int, int]], width: int) -> tuple:
     return tuple(tables), struct.Struct(f"<{n}{row}").unpack, n * stride // 8
 
 
-_graph6_decoders: dict[int, tuple] = {}  # n -> its graph6 row tables
+@functools.cache
+def _graph6_tables(n: int) -> tuple:
+    """The graph6 parser's row tables of upper_pairs(n), six pairs a table."""
+    return _row_tables(n, upper_pairs(n), 6)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -320,10 +329,7 @@ def parse_graph6(text: str) -> Graph:
     if (data[end - 1] - 63) & ((1 << pad) - 1):
         raise GraphFormatError(f"nonzero padding bit at offset {end - 1}")
     if n <= _TABLE_MAX_N:
-        decoder = _graph6_decoders.get(n)
-        if decoder is None:
-            decoder = _graph6_decoders[n] = _row_tables(n, upper_pairs(n), 6)
-        tables, unpack, size = decoder
+        tables, unpack, size = _graph6_tables(n)
         packed = 0
         for table, g in zip(tables, data[pos:end].translate(_FIRST_PAIR_LOW)):
             packed |= table[g]

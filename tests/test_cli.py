@@ -383,8 +383,23 @@ class TestCorpus:
         assert exc.value.code == 1
 
     def test_bad_params(self, capsys):
-        code, out, err = run(capsys, "corpus", "sample", "9")
-        assert code == 1
+        exhaustive, sample = "corpus exhaustive takes: n", "corpus sample takes: n count seed"
+        for params, message in [(("exhaustive",), exhaustive),
+                                (("exhaustive", "3", "4"), exhaustive),
+                                (("sample",), sample),
+                                (("sample", "9"), sample),
+                                (("sample", "9", "50", "42", "1"), sample),
+                                (("--jobs", "2", "sample", "9", "50"), sample)]:
+            code, out, err = run(capsys, "corpus", *params)
+            assert (code, out) == (1, ""), params
+            assert err == f"chibound: error: {message}\n", params
+
+    def test_options_before_the_mode(self, capsys):
+        code, out, err = run(capsys, "corpus", "--jobs", "2", "--checks", "oracle",
+                             "exhaustive", "3")
+        assert code == 0
+        assert out == run(capsys, "corpus", "exhaustive", "3", "--checks", "oracle")[1]
+        assert json.loads(out)["oracle"] == {"checked": 8, "disagreements": 0}
 
     @pytest.mark.parametrize("params, message", [
         (("exhaustive", "-1"), "1 <= n <= 7, got n=-1"),
@@ -438,6 +453,17 @@ class TestCorpus:
         assert code == 1
         assert out == ""
         assert err.startswith("chibound: error: ") and str(path) in err
+        assert calls == []
+
+    def test_empty_dump_path_fails_before_campaign(self, capsys, monkeypatch):
+        # An empty path is opened like any other; only an absent option
+        # means no dump.
+        calls = []
+        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+        code, out, err = run(capsys, "corpus", "exhaustive", "3", "--dump-violations", "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("chibound: error: ") and err.endswith(": ''\n")
         assert calls == []
 
     def test_bad_checks_leave_no_dump_file(self, capsys, tmp_path):

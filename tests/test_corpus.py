@@ -7,7 +7,7 @@ import sys
 import textwrap
 import threading
 import zlib
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -108,9 +108,9 @@ class TestGraphFromEdgeMask:
 
     def test_tables_built_once_per_contents(self, monkeypatch):
         built = []
-        real = corpus._edge_tables
-        monkeypatch.setattr(corpus, "_edge_tables",
-                            lambda n, pairs: built.append(n) or real(n, pairs))
+        real = corpus._row_tables
+        monkeypatch.setattr(corpus, "_row_tables",
+                            lambda n, pairs, width: built.append(n) or real(n, pairs, width))
         graph_from_edge_mask(4, 0, pair_list(4))
         for _ in range(2):
             assert sum(1 for _ in iter_all_graphs(5)) == 1024
@@ -350,6 +350,28 @@ class TestRunVerification:
                 monkeypatch.setattr(corpus, "CHUNK_SIZE", chunk_size)
                 report = run_verification(pop, checks=checks, jobs=jobs)
                 assert report.to_json() == reference.to_json(), (jobs, chunk_size)
+
+    @pytest.mark.parametrize("pop", [
+        exhaustive_population(5),
+        explicit_population([cycle(5), extremal_omega5()]),
+    ], ids=["exhaustive5", "c5_omega5"])
+    def test_every_subset_of_checks_gives_the_all_checks_blocks(self, pop):
+        # A block is present exactly when its check was asked for, and then
+        # equals that block of the all-checks report, so no check's tally
+        # depends on another check being asked for too.
+        full = run_verification(pop, checks=VALID_CHECKS).to_json_dict()
+        subsets = [c for k in range(1, 5) for c in combinations(VALID_CHECKS, k)]
+        assert len(subsets) == 15
+        for checks in subsets:
+            d = run_verification(pop, checks=checks).to_json_dict()
+            for key in ("graphs", "members", "disconnected_members"):
+                assert d[key] == full[key], (checks, key)
+            assert d["violations"] == [], checks
+            assert d["omega_histogram"] == (
+                full["omega_histogram"] if "bound" in checks else {}), checks
+            for block in ("oracle", "lemma1", "lemma2"):
+                assert d.get(block) == (full[block] if block in checks else None), \
+                    (checks, block)
 
     def test_merge_rule(self):
         def chunk(omega_row, violation):

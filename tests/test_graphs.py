@@ -202,9 +202,9 @@ class TestGraph6:
     def test_tables_built_once_per_vertex_count(self, monkeypatch):
         built = []
         real = graphs._row_tables
-        monkeypatch.setattr(graphs, "_graph6_decoders", {})
         monkeypatch.setattr(graphs, "_row_tables",
                             lambda n, pairs, width: built.append(n) or real(n, pairs, width))
+        graphs._graph6_tables.cache_clear()
         rng = random.Random(9)
         for n in (20, 9, 20, 33, 9, 64, 32, 20) * 3:
             g = random_graph(n, rng.random(), rng)
