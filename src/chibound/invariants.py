@@ -85,33 +85,37 @@ def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Exact chromatic number: DSATUR-ordered branch and bound.
 
-def _dsatur_pick(vertices, colors, neighbor_colors, degrees) -> int:
-    """The uncoloured vertex among ``vertices`` with the most colours on its
-    neighbours, then the highest degree, then the lowest index; -1 if every
-    one is coloured."""
-    pick = -1
-    pick_key = None
-    for u in vertices:
-        if colors[u] == -1:
-            key = (neighbor_colors[u].bit_count(), degrees[u], -u)
-            if pick_key is None or key > pick_key:
-                pick, pick_key = u, key
-    return pick
+def _dsatur_scores(g: Graph) -> list[int]:
+    """score[u] = sat(u)·n² + deg(u)·n + (n - 1 - u) with no colour placed
+    yet (sat(u) = 0): the vertex of the largest score has the most colours
+    on its neighbours, then the highest degree, then the lowest index.
+    Colouring u sets score[u] to -1, and each uncoloured neighbour that
+    newly sees the colour gains n², so the pick is always
+    ``score.index(max(score))``."""
+    n = g.n
+    return [a.bit_count() * n + n - 1 - u for u, a in enumerate(g.adj)]
 
 
 def _dsatur_greedy(g: Graph) -> list[int]:
     n = g.n
+    adj = g.adj
+    n2 = n * n
+    score = _dsatur_scores(g)
     colors = [-1] * n
-    neighbor_colors = [0] * n  # bitmask of colors seen on neighbors
-    degrees = [g.degree(v) for v in range(n)]
+    near = [0] * n  # near[c]: the vertices with a neighbour of colour c
+    free = g.full_mask  # the uncoloured vertices
     for _ in range(n):
-        v = _dsatur_pick(range(n), colors, neighbor_colors, degrees)
+        v = score.index(max(score))
+        score[v] = -1
+        free ^= 1 << v
         c = 0
-        while neighbor_colors[v] >> c & 1:
+        while near[c] >> v & 1:
             c += 1
         colors[v] = c
-        for u in bits(g.adj[v]):
-            neighbor_colors[u] |= 1 << c
+        row = adj[v]
+        for u in bits(row & free & ~near[c]):
+            score[u] += n2
+        near[c] |= row
     return colors
 
 
@@ -138,42 +142,50 @@ def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
     if best_k == omega:
         return best_k, tuple(best)
 
-    degrees = [g.degree(v) for v in range(n)]
+    adj = g.adj
+    n2 = n * n
+    score = _dsatur_scores(g)
     colors = [-1] * n
-    neighbor_colors = [0] * n
+    near = [0] * n  # near[c]: the vertices with a neighbour of colour c
+    free = g.full_mask ^ clique  # the uncoloured vertices
     # Pre-color a maximum clique: valid symmetry breaking for exact search.
-    clique_vs = list(bits(clique))
-    for c, v in enumerate(clique_vs):
+    for c, v in enumerate(bits(clique)):
         colors[v] = c
-        for u in bits(g.adj[v]):
-            neighbor_colors[u] |= 1 << c
-    uncolored = [v for v in range(n) if colors[v] == -1]
+        score[v] = -1
+        near[c] = adj[v]
+        for u in bits(adj[v] & free):
+            score[u] += n2
 
-    def backtrack(used: int) -> None:
+    def backtrack(used: int, free: int) -> None:
         nonlocal best_k, best
         if used >= best_k:
             return
-        pick = _dsatur_pick(uncolored, colors, neighbor_colors, degrees)
-        if pick == -1:
+        top = max(score)
+        if top < 0:
             best_k = used
             best = colors[:]
             return
-        limit_c = min(used + 1, best_k - 1)
-        for c in range(limit_c):
-            if neighbor_colors[pick] >> c & 1:
+        pick = score.index(top)
+        score[pick] = -1
+        free ^= 1 << pick
+        row = adj[pick]
+        for c in range(min(used + 1, best_k - 1)):
+            seen = near[c]
+            if seen >> pick & 1:
                 continue
             colors[pick] = c
-            touched = []
-            for u in bits(g.adj[pick]):
-                if not neighbor_colors[u] >> c & 1:
-                    neighbor_colors[u] |= 1 << c
-                    touched.append(u)
-            backtrack(max(used, c + 1))
-            colors[pick] = -1
-            for u in touched:
-                neighbor_colors[u] &= ~(1 << c)
+            new = bits(row & free & ~seen)
+            for u in new:
+                score[u] += n2
+            near[c] = seen | row
+            backtrack(max(used, c + 1), free)
+            near[c] = seen
+            for u in new:
+                score[u] -= n2
+        colors[pick] = -1
+        score[pick] = top
 
-    backtrack(omega)
+    backtrack(omega, free)
     return best_k, tuple(best)
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .graphs import Graph, bits
 from .invariants import max_clique
-from .patterns import check_membership, is_class_member
+from .patterns import check_membership
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -109,10 +109,11 @@ def decompose(g: Graph, v: int, w: int, check_class: bool = True) -> Decompositi
         raise DecompositionError(f"invalid pair ({v},{w})")
     if adj[v] >> w & 1:
         raise DecompositionError(f"({v},{w}) is an edge; a non-edge is required")
-    if check_class and not is_class_member(g):
-        witness = check_membership(g)  # only to name the excluding witness
-        raise NotInClassError(
-            f"graph is not in the class: {witness.kind} on {witness.vertices}")
+    if check_class:
+        witness = check_membership(g)
+        if witness is not None:
+            raise NotInClassError(
+                f"graph is not in the class: {witness.kind} on {witness.vertices}")
     av = adj[v]
     aw = adj[w]
     a = av & aw

@@ -302,9 +302,10 @@ def max_clique_by_reconstruction(g: Graph, within: int | None = None) -> tuple[i
 
 
 def iter_5pattern_roles_edge_first(g: Graph):
-    """Reference for ``patterns._iter_5pattern_roles``: for each
-    non-adjacent pair, every edge ab inside the common neighbourhood, then
-    every c there that misses both a and b."""
+    """Every 5-pattern role tuple, the reference for
+    ``patterns.find_forbidden_5pattern``: for each non-adjacent pair, every
+    edge ab inside the common neighbourhood, then every c there that misses
+    both a and b."""
     adj = g.adj
     full = g.full_mask
     for u1 in range(g.n - 1):
@@ -406,6 +407,60 @@ def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
         for u in bits_generator(g.adj[v]):
             neighbor_colors[u] |= 1 << c
     return colors
+
+
+def chromatic_exact_tuple_keyed(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Reference for ``invariants.chromatic_exact``: the same branch and
+    bound from the same greedy bound and pre-coloured clique, each pick
+    made over the uncoloured vertices with the key (saturation, degree, -u)
+    and every neighbour's colour mask kept, coloured or not."""
+    n = g.n
+    if n == 0:
+        return 0, ()
+    omega, clique = max_clique_by_reconstruction(g)
+    best = dsatur_greedy_max_keyed(g)
+    best_k = max(best) + 1
+    if best_k == omega:
+        return best_k, tuple(best)
+    degrees = [g.degree(v) for v in range(n)]
+    colors = [-1] * n
+    neighbor_colors = [0] * n
+    for c, v in enumerate(bits_generator(clique)):
+        colors[v] = c
+        for u in bits_generator(g.adj[v]):
+            neighbor_colors[u] |= 1 << c
+    uncolored = [v for v in range(n) if colors[v] == -1]
+
+    def backtrack(used: int) -> None:
+        nonlocal best_k, best
+        if used >= best_k:
+            return
+        pick, pick_key = -1, None
+        for u in uncolored:
+            if colors[u] == -1:
+                key = (neighbor_colors[u].bit_count(), degrees[u], -u)
+                if pick_key is None or key > pick_key:
+                    pick, pick_key = u, key
+        if pick == -1:
+            best_k = used
+            best = colors[:]
+            return
+        for c in range(min(used + 1, best_k - 1)):
+            if neighbor_colors[pick] >> c & 1:
+                continue
+            colors[pick] = c
+            touched = []
+            for u in bits_generator(g.adj[pick]):
+                if not neighbor_colors[u] >> c & 1:
+                    neighbor_colors[u] |= 1 << c
+                    touched.append(u)
+            backtrack(max(used, c + 1))
+            colors[pick] = -1
+            for u in touched:
+                neighbor_colors[u] &= ~(1 << c)
+
+    backtrack(omega)
+    return best_k, tuple(best)
 
 
 def components_by_vertex_scan(g: Graph) -> list[int]:

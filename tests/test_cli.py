@@ -17,8 +17,10 @@ from chibound.constructions import (cycle, extremal_omega5, extremal_witnesses,
 from chibound import corpus
 from chibound.corpus import enumerate_class
 from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
-                             serialize_graph6)
-from oracles import random_graph, triangle_free_complement
+                             parse_graph6, serialize_graph6)
+from oracles import (bf_independent_triple, dsatur_greedy_max_keyed,
+                     is_class_member_closed_list, max_clique_by_reconstruction,
+                     random_graph, triangle_free_complement)
 
 
 def cycle6():
@@ -218,6 +220,25 @@ def dense_stream() -> str:
     return "".join(serialize_graph6(g) + "\n" for g in graphs)
 
 
+def witness_stream() -> str:
+    """240 complements of maximal triangle-free graphs with n from 9 to 14:
+    no 3K1, so every non-member among them (128) is named by its
+    5-pattern."""
+    rng = random.Random(2016)
+    graphs = [triangle_free_complement(rng.randint(9, 14), rng) for _ in range(240)]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
+def backtrack_stream() -> str:
+    """60 G(n, p) graphs with n from 16 to 20 and p from 0.45 to 0.75, each
+    with a 3K1, so chi comes from the exact engine; on 25 of them DSATUR's
+    greedy colouring exceeds omega and the engine backtracks."""
+    rng = random.Random(2017)
+    graphs = [random_graph(rng.randint(16, 20), rng.uniform(0.45, 0.75), rng)
+              for _ in range(60)]
+    return "".join(serialize_graph6(g) + "\n" for g in graphs)
+
+
 def large_stream() -> str:
     """30 complements of maximal triangle-free graphs with n from 21 to 64,
     above the exact chromatic engine's limit."""
@@ -262,6 +283,33 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # The 5-pattern witnesses of 3K1-free non-members, and the exact chi and
+    # colouring where the branch and bound has to search.
+    @pytest.mark.parametrize("stream, cmd, code, digest", [
+        (witness_stream, "check", 2,
+         "855823bc056996de154bf02f75ddbfbe949f85627428ca07bab4fc5f93800906"),
+        (backtrack_stream, "invariants", 0,
+         "894f294ae1e54b4aa9970bb1616add06a7fa572f84b38e0a6fb00bc11ca0a306"),
+    ])
+    def test_search_stream_bytes_pinned(self, capsys, monkeypatch, stream, cmd,
+                                        code, digest):
+        got, out, err = run(capsys, cmd, "-", stdin=stream(),
+                            monkeypatch=monkeypatch)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_search_streams_reach_the_searches(self):
+        graphs = [parse_graph6(line) for line in witness_stream().split()]
+        assert not any(bf_independent_triple(g) for g in graphs)
+        assert sum(not is_class_member_closed_list(g) for g in graphs) == 128
+        backtracking = 0
+        for line in backtrack_stream().split():
+            g = parse_graph6(line)
+            assert bf_independent_triple(g) is not None
+            greedy = max(dsatur_greedy_max_keyed(g)) + 1
+            backtracking += greedy > max_clique_by_reconstruction(g)[0]
+        assert backtracking == 25
 
     # The check records, the graph6 echo included, on either side of the
     # decoder's table bound.

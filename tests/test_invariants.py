@@ -14,10 +14,11 @@ from chibound.invariants import (ExactLimitError, IndependentTripleError,
 from chibound.constructions import cycle, extremal_omega5
 from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
                      bf_max_matching, chi_via_complement_graph,
-                     dsatur_greedy_max_keyed, has_augmenting_path,
-                     max_clique_by_reconstruction, max_matching_unstopped,
-                     mc_expand_prefixes, petersen, random_graph,
-                     triangle_free_complement)
+                     chromatic_exact_tuple_keyed, dsatur_greedy_max_keyed,
+                     has_augmenting_path, max_clique_by_reconstruction,
+                     max_matching_unstopped, mc_expand_prefixes, petersen,
+                     random_graph, triangle_free_complement)
+from test_cli import dense_stream
 
 # Random graphs for the reference cross-checks: n <= 24, p from 0.2 to 0.95.
 _dense_graphs = st.builds(
@@ -142,7 +143,7 @@ class TestMaxCliqueAgainstReferences:
 
 
 class TestDsaturGreedy:
-    """The plain-loop pick against the ``max()``-keyed pick it replaced."""
+    """The score-list pick against the ``max()``-keyed pick it replaced."""
 
     def test_every_graph_up_to_6(self):
         for n in range(7):
@@ -153,6 +154,28 @@ class TestDsaturGreedy:
     @given(_dense_graphs)
     def test_random_graphs(self, g):
         assert _dsatur_greedy(g) == dsatur_greedy_max_keyed(g)
+
+
+class TestChromaticExactAgainstReference:
+    """chi and the colouring itself against the tuple-keyed engine the
+    score list replaced."""
+
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 16), st.floats(0.3, 0.95),
+           st.randoms(use_true_random=False))
+    def test_random_graphs(self, n, p, rng):
+        g = random_graph(n, p, rng)
+        assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g)
+
+    def test_dense_stream(self):
+        for line in dense_stream().split():
+            g = parse_graph6(line)
+            assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g), line
 
 
 class TestChromaticExact:
