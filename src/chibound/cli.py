@@ -67,6 +67,10 @@ def _inputs(args):
     """(line number, text) per input graph; None where an error ends the run."""
     if args.graph != "-":
         return [(None, args.graph)]
+    # A byte that does not decode reaches the parser as a lone surrogate,
+    # which it rejects at its offset, instead of failing the whole read.
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     if args.format == "dimacs":
         return [(None, sys.stdin.read())]
     return ((k, line) for k, line in enumerate(sys.stdin, start=1)

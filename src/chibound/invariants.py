@@ -2,8 +2,9 @@
 omega and the lexicographically first maximum clique), chromatic number (two
 independent engines), maximum matching, and the chromatic bound function.
 
-The two chromatic engines serve as mutual oracles: a branch-and-bound solver
-over DSATUR-ordered assignments, and the clique-cover identity
+The two chromatic engines serve as mutual oracles: one DSATUR branch and
+bound from a pre-coloured maximum clique, whose witness is the first
+colouring with chi colours it meets, and the clique-cover identity
 chi(G) = n - mu(complement(G)) valid whenever G has no independent triple
 (every color class then has at most two vertices).  The matching reads the
 rows of g, or of its complement by ``graphs.triangle_free_complement_rows``.
@@ -85,43 +86,19 @@ def max_clique(g: Graph, within: int | None = None) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Exact chromatic number: DSATUR-ordered branch and bound.
 
-def _dsatur_scores(g: Graph) -> list[int]:
-    """score[u] = sat(u)·n² + deg(u)·n + (n - 1 - u) with no colour placed
-    yet (sat(u) = 0): the vertex of the largest score has the most colours
-    on its neighbours, then the highest degree, then the lowest index.
-    Colouring u sets score[u] to -1, and each uncoloured neighbour that
-    newly sees the colour gains n², so the pick is always
-    ``score.index(max(score))``."""
-    n = g.n
-    return [a.bit_count() * n + n - 1 - u for u, a in enumerate(g.adj)]
-
-
-def _dsatur_greedy(g: Graph) -> list[int]:
-    n = g.n
-    adj = g.adj
-    n2 = n * n
-    score = _dsatur_scores(g)
-    colors = [-1] * n
-    near = [0] * n  # near[c]: the vertices with a neighbour of colour c
-    free = g.full_mask  # the uncoloured vertices
-    for _ in range(n):
-        v = score.index(max(score))
-        score[v] = -1
-        free ^= 1 << v
-        c = 0
-        while near[c] >> v & 1:
-            c += 1
-        colors[v] = c
-        row = adj[v]
-        for u in bits(row & free & ~near[c]):
-            score[u] += n2
-        near[c] |= row
-    return colors
-
-
 def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
                     ) -> tuple[int, tuple[int, ...]]:
     """Exact chi with a proper coloring witness.
+
+    One DSATUR branch and bound (Brélaz 1979): the lexicographically first
+    maximum clique is pre-coloured 0, 1, ... in vertex order, a valid
+    symmetry break, and the search starts with bound n + 1, so its first
+    descent is DSATUR's greedy colouring of the rest.  Each pick is the
+    uncoloured vertex with the most colours on its neighbours, then the
+    highest degree, then the lowest index, and its colours are tried in
+    ascending order; only a colouring with fewer colours than the best
+    replaces it, so the witness is the first colouring with chi colours
+    the search meets.
 
     ``clique`` is ``max_clique(g)`` when the caller already has it; it is
     computed when not given, with the same result.  Raises ExactLimitError
@@ -136,30 +113,25 @@ def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
     if n == 0:
         return 0, ()
     omega, clique = max_clique(g) if clique is None else clique
-    greedy = _dsatur_greedy(g)
-    best_k = max(greedy) + 1
-    best = list(greedy)
-    if best_k == omega:
-        return best_k, tuple(best)
-
     adj = g.adj
     n2 = n * n
-    score = _dsatur_scores(g)
+    # score[u] = sat(u)·n² + deg(u)·n + (n - 1 - u), or -1 once u is
+    # coloured: a neighbour that newly sees a colour gains n², and the pick
+    # is always score.index(max(score)).
+    score = [a.bit_count() * n + n - 1 - u for u, a in enumerate(adj)]
     colors = [-1] * n
     near = [0] * n  # near[c]: the vertices with a neighbour of colour c
     free = g.full_mask ^ clique  # the uncoloured vertices
-    # Pre-color a maximum clique: valid symmetry breaking for exact search.
     for c, v in enumerate(bits(clique)):
         colors[v] = c
         score[v] = -1
         near[c] = adj[v]
         for u in bits(adj[v] & free):
             score[u] += n2
+    best_k, best = n + 1, []
 
     def backtrack(used: int, free: int) -> None:
         nonlocal best_k, best
-        if used >= best_k:
-            return
         top = max(score)
         if top < 0:
             best_k = used
@@ -169,16 +141,19 @@ def chromatic_exact(g: Graph, clique: tuple[int, int] | None = None
         score[pick] = -1
         free ^= 1 << pick
         row = adj[pick]
-        for c in range(min(used + 1, best_k - 1)):
+        for c in range(used + 1):
             seen = near[c]
             if seen >> pick & 1:
                 continue
+            k = max(used, c + 1)  # colours in use once pick has c
+            if k >= best_k:  # and no fewer for any later c
+                break
             colors[pick] = c
             new = bits(row & free & ~seen)
             for u in new:
                 score[u] += n2
             near[c] = seen | row
-            backtrack(max(used, c + 1), free)
+            backtrack(k, free)
             near[c] = seen
             for u in new:
                 score[u] -= n2

@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 from chibound.graphs import (MAX_VERTICES, Graph, GraphFormatError, complement,
                              from_edges)
+from chibound.invariants import bound_f
 
 # u1=0, u2=1, a=2, b=3, c=4
 PATTERN_EDGES = frozenset(
@@ -389,8 +390,9 @@ def complement_oracle_rows_first(g: Graph) -> bool:
 
 
 def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
-    """Reference for ``invariants._dsatur_greedy``: each pick is ``max()``
-    over the uncoloured vertices with the key (saturation, degree, -u)."""
+    """DSATUR's greedy colouring: each pick is ``max()`` over the uncoloured
+    vertices with the key (saturation, degree, -u), coloured with the
+    smallest colour none of its neighbours has."""
     n = g.n
     colors = [-1] * n
     neighbor_colors = [0] * n
@@ -409,19 +411,15 @@ def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
     return colors
 
 
-def chromatic_exact_tuple_keyed(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Reference for ``invariants.chromatic_exact``: the same branch and
-    bound from the same greedy bound and pre-coloured clique, each pick
-    made over the uncoloured vertices with the key (saturation, degree, -u)
-    and every neighbour's colour mask kept, coloured or not."""
+def _tuple_keyed_search(g: Graph, omega: int, clique: int, best_k: int,
+                        best) -> tuple[int, tuple[int, ...]]:
+    """(best_k, best) after a branch and bound that pre-colours ``clique``
+    (of ``omega`` vertices) with colours 0, 1, ... in vertex order and
+    colours the rest depth first, each pick made over the uncoloured
+    vertices with the key (saturation, degree, -u), each colour tried in
+    ascending order, and every neighbour's colour mask kept, coloured or
+    not.  Only a colouring with fewer than best_k colours replaces best."""
     n = g.n
-    if n == 0:
-        return 0, ()
-    omega, clique = max_clique_by_reconstruction(g)
-    best = dsatur_greedy_max_keyed(g)
-    best_k = max(best) + 1
-    if best_k == omega:
-        return best_k, tuple(best)
     degrees = [g.degree(v) for v in range(n)]
     colors = [-1] * n
     neighbor_colors = [0] * n
@@ -461,6 +459,48 @@ def chromatic_exact_tuple_keyed(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     backtrack(omega)
     return best_k, tuple(best)
+
+
+def chromatic_exact_tuple_keyed(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The engine ``invariants.chromatic_exact`` replaced: the greedy
+    colouring first, returned if it uses omega colours, else the bound and
+    the witness the search starts from, so the search only replaces it with
+    a colouring that uses fewer colours."""
+    if g.n == 0:
+        return 0, ()
+    omega, clique = max_clique_by_reconstruction(g)
+    best = dsatur_greedy_max_keyed(g)
+    best_k = max(best) + 1
+    if best_k == omega:
+        return best_k, tuple(best)
+    return _tuple_keyed_search(g, omega, clique, best_k, best)
+
+
+def chromatic_exact_clique_first(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Reference for ``invariants.chromatic_exact``: the search of
+    ``chromatic_exact_tuple_keyed`` with no greedy pass, started at bound
+    n + 1, so its witness is the first colouring with chi colours it
+    meets."""
+    if g.n == 0:
+        return 0, ()
+    omega, clique = max_clique_by_reconstruction(g)
+    return _tuple_keyed_search(g, omega, clique, g.n + 1, None)
+
+
+def check_invariants_record(g: Graph, record: dict) -> None:
+    """Assert that an ``invariants`` record certifies itself on g, without
+    a chromatic engine: its colouring is proper with exactly ``chi``
+    colours, its clique is a clique of ``omega`` vertices, ``bound`` is
+    f(omega) and ``tight`` says whether chi reaches it."""
+    omega, chi, coloring, clique = (record["omega"], record["chi"],
+                                    record["coloring"], record["clique"])
+    assert record["n"] == g.n == len(coloring)
+    assert sorted(set(coloring)) == list(range(chi))
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    assert len(set(clique)) == len(clique) == omega
+    assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))
+    assert record["bound"] == (bound_f(omega) if omega >= 1 else 0)
+    assert record["tight"] is (omega >= 1 and chi == record["bound"])
 
 
 def components_by_vertex_scan(g: Graph) -> list[int]:

@@ -14,11 +14,12 @@ from chibound import cli
 from chibound.cli import main
 from chibound.constructions import (cycle, extremal_omega5, extremal_witnesses,
                                     wheel6)
-from chibound import corpus
+from chibound import corpus, invariants
 from chibound.corpus import enumerate_class
 from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
                              parse_graph6, serialize_graph6)
-from oracles import (bf_independent_triple, dsatur_greedy_max_keyed,
+from oracles import (bf_independent_triple, check_invariants_record,
+                     chromatic_exact_clique_first, dsatur_greedy_max_keyed,
                      is_class_member_closed_list, max_clique_by_reconstruction,
                      random_graph, triangle_free_complement)
 
@@ -121,6 +122,25 @@ class TestCheck:
         assert first == {"line": 1, "error": "invalid graph6 byte at offset 3"}
         assert second == {"line": 2, "error": "invalid graph6 byte at offset 0"}
         assert third["graph6"] == "D?{"
+
+    def test_undecodable_byte_is_one_failed_line(self, capsys, monkeypatch):
+        # A stdin that decodes strictly, as under a UTF-8 locale.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"D?{\n\xff\xfe\nD?{\n"), encoding="utf-8", errors="strict"))
+        code, out, err = run(capsys, "check", "-")
+        assert code == 1
+        first, second, third = [json.loads(line) for line in out.splitlines()]
+        assert second == {"line": 2, "error": "invalid graph6 byte at offset 0"}
+        assert first == third and first["graph6"] == "D?{"
+
+    def test_undecodable_dimacs_byte_located(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"p edge 2 1\ne 1 2\xff\n"), encoding="utf-8", errors="strict"))
+        code, out, err = run(capsys, "check", "-", "--format", "dimacs")
+        assert code == 1
+        assert out == ""
+        assert err == ("chibound: error: expected a non-negative integer, "
+                       "got '2\\udcff' at line 2\n")
 
     def test_dimacs_input(self, capsys, monkeypatch):
         dimacs = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
@@ -231,8 +251,8 @@ def witness_stream() -> str:
 
 def backtrack_stream() -> str:
     """60 G(n, p) graphs with n from 16 to 20 and p from 0.45 to 0.75, each
-    with a 3K1, so chi comes from the exact engine; on 25 of them DSATUR's
-    greedy colouring exceeds omega and the engine backtracks."""
+    with a 3K1, so chi comes from the exact engine; on 25 of them pure
+    DSATUR greedy exceeds omega."""
     rng = random.Random(2017)
     graphs = [random_graph(rng.randint(16, 20), rng.uniform(0.45, 0.75), rng)
               for _ in range(60)]
@@ -256,13 +276,28 @@ def bound_stream() -> str:
     return "".join(serialize_graph6(g) + "\n" for g in graphs)
 
 
+def certify_invariants(capsys, monkeypatch, stream, out):
+    """Every record of the invariants pass over stream, whose stdout is
+    out, certifies itself, and a pass whose exact engine is the clique-first
+    reference prints the same."""
+    for line, record in zip(stream().split(), out.splitlines(), strict=True):
+        check_invariants_record(parse_graph6(line), json.loads(record))
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "chromatic_exact",
+                  lambda g, clique=None: chromatic_exact_clique_first(g))
+        _, ref, _ = run(capsys, "invariants", "-", stdin=stream(), monkeypatch=m)
+    assert ref == out
+
+
 class TestPerGraphBytes:
     # The sha256 of each pass's stdout over one fixed stream: every record,
     # decompose's error records for graphs without a partitioning pair
-    # included, must stay byte-identical across refactors.
+    # included, must stay byte-identical across refactors.  The invariants
+    # digests were taken from passes whose exact engine was the clique-first
+    # reference, which each invariants case runs again.
     @pytest.mark.parametrize("cmd, code, digest", [
         ("check", 2, "2ae0ab5dfe205b550627d547313a44f20f068ff5542bed9e4be231bfe577327c"),
-        ("invariants", 0, "05ef8810b21f3b8c9b5ea7a5af7537560df05563eae9fbf91536486295902977"),
+        ("invariants", 0, "38a2769c434477043dbbc1b65fe306495f21b0c969f4315e1cfcb17488b51521"),
         ("decompose", 1, "d9aded4982626324c14e75824c1b211d25665db23092be0b82b5672ad91d498e"),
     ])
     def test_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
@@ -270,12 +305,14 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if cmd == "invariants":
+            certify_invariants(capsys, monkeypatch, pinned_stream, out)
 
     # The same over dense_stream(), where most lines are non-members with a
     # witness to find and omega runs up to 14.
     @pytest.mark.parametrize("cmd, code, digest", [
         ("check", 2, "5e3beb6fe50352faf0c028fe551b96c9103651f88ee3804b9cd6e51d04edf3a7"),
-        ("invariants", 0, "b5d5f475a8669d489fea4594e2450b79da526ca8b24acd9e9b697f4ed4d39d7b"),
+        ("invariants", 0, "124edcfcb257ef080f14941668cf2ec65f8952f0618a76611af97a8e341dcbde"),
         ("decompose", 1, "2c4796bc4686d5ed51a791c974e8b75cee73c74c2bb4e7b77ff967956eeb7208"),
     ])
     def test_dense_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
@@ -283,6 +320,8 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if cmd == "invariants":
+            certify_invariants(capsys, monkeypatch, dense_stream, out)
 
     # The 5-pattern witnesses of 3K1-free non-members, and the exact chi and
     # colouring where the branch and bound has to search.
@@ -290,7 +329,7 @@ class TestPerGraphBytes:
         (witness_stream, "check", 2,
          "855823bc056996de154bf02f75ddbfbe949f85627428ca07bab4fc5f93800906"),
         (backtrack_stream, "invariants", 0,
-         "894f294ae1e54b4aa9970bb1616add06a7fa572f84b38e0a6fb00bc11ca0a306"),
+         "882cc3e4d30a7d1e6be53b8d682d6ce91e98c6128e316d600c7b2892c98c1433"),
     ])
     def test_search_stream_bytes_pinned(self, capsys, monkeypatch, stream, cmd,
                                         code, digest):
@@ -298,6 +337,8 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if cmd == "invariants":
+            certify_invariants(capsys, monkeypatch, stream, out)
 
     def test_search_streams_reach_the_searches(self):
         graphs = [parse_graph6(line) for line in witness_stream().split()]
@@ -327,6 +368,8 @@ class TestPerGraphBytes:
         assert got == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "c52f19b94a22f5d0acabe8263ed037d68ea7ff68d422b03ec952216795f38f40"
+        for line, record in zip(large_stream().split(), out.splitlines(), strict=True):
+            check_invariants_record(parse_graph6(line), json.loads(record))
 
 
 class TestGen:

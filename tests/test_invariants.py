@@ -8,17 +8,17 @@ from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
                              induced_subgraph, join, parse_graph6)
 from chibound.invariants import (ExactLimitError, IndependentTripleError,
-                                 _dsatur_greedy, bound_f, chi_via_matching,
-                                 chromatic_exact, clique_number,
-                                 compute_invariants, max_clique, max_matching)
+                                 bound_f, chi_via_matching, chromatic_exact,
+                                 clique_number, compute_invariants, max_clique,
+                                 max_matching)
 from chibound.constructions import cycle, extremal_omega5
 from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
                      bf_max_matching, chi_via_complement_graph,
-                     chromatic_exact_tuple_keyed, dsatur_greedy_max_keyed,
+                     chromatic_exact_clique_first, chromatic_exact_tuple_keyed,
                      has_augmenting_path, max_clique_by_reconstruction,
                      max_matching_unstopped, mc_expand_prefixes, petersen,
                      random_graph, triangle_free_complement)
-from test_cli import dense_stream
+from test_cli import backtrack_stream, dense_stream
 
 # Random graphs for the reference cross-checks: n <= 24, p from 0.2 to 0.95.
 _dense_graphs = st.builds(
@@ -142,40 +142,33 @@ class TestMaxCliqueAgainstReferences:
         assert clique_number(g) == mc_expand_prefixes(g.adj, 0, g.full_mask, 0)
 
 
-class TestDsaturGreedy:
-    """The score-list pick against the ``max()``-keyed pick it replaced."""
-
-    def test_every_graph_up_to_6(self):
-        for n in range(7):
-            for g in iter_all_graphs(n):
-                assert _dsatur_greedy(g) == dsatur_greedy_max_keyed(g)
-
-    @settings(max_examples=150, deadline=None)
-    @given(_dense_graphs)
-    def test_random_graphs(self, g):
-        assert _dsatur_greedy(g) == dsatur_greedy_max_keyed(g)
+def same_as_references(g):
+    """(chi, colouring) equal to the clique-first reference's, and chi equal
+    to that of the engine with a separate greedy pass it replaced."""
+    got = chromatic_exact(g)
+    assert got == chromatic_exact_clique_first(g)
+    assert got[0] == chromatic_exact_tuple_keyed(g)[0]
 
 
 class TestChromaticExactAgainstReference:
-    """chi and the colouring itself against the tuple-keyed engine the
-    score list replaced."""
-
     def test_every_graph_up_to_6(self):
         for n in range(7):
             for g in iter_all_graphs(n):
-                assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g)
+                same_as_references(g)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 16), st.floats(0.3, 0.95),
            st.randoms(use_true_random=False))
     def test_random_graphs(self, n, p, rng):
-        g = random_graph(n, p, rng)
-        assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g)
+        same_as_references(random_graph(n, p, rng))
 
     def test_dense_stream(self):
         for line in dense_stream().split():
-            g = parse_graph6(line)
-            assert chromatic_exact(g) == chromatic_exact_tuple_keyed(g), line
+            same_as_references(parse_graph6(line))
+
+    def test_backtrack_stream(self):
+        for line in backtrack_stream().split():
+            same_as_references(parse_graph6(line))
 
 
 class TestChromaticExact:
