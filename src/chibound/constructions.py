@@ -119,16 +119,18 @@ def ramsey_13() -> Graph:
 
     It has no independent triple, clique number 4 and chromatic number
     7 > f(4) = 6: the bound needs the 5-pattern forbidden too, and this graph
-    contains one, on the vertices (0, 1, 3, 4, 6).  Its complement is the
-    (3,5)-Ramsey graph on 13 vertices.
+    contains one, on the vertices (0, 1, 3, 4, 11): the first the pair scan
+    meets, at the pair (0, 1) with c = 3 (its complement there is the edge
+    0-1 beside the path 4-3-11).  Its complement is the (3,5)-Ramsey graph
+    on 13 vertices.
     """
     g = complement(from_edges(13, [(i, (i + d) % 13)
                                    for i in range(13) for d in (1, 5)]))
     witness = check_membership(g)  # a 3K1, if any, comes first
     if (witness is None or witness.kind != TWO_K1_JOIN_K2_K1
-            or witness.vertices != (0, 1, 3, 4, 6)):
+            or witness.vertices != (0, 1, 3, 4, 11)):
         raise ConstructionError(
-            f"ramsey_13: witness {witness}, expected a 5-pattern on (0, 1, 3, 4, 6)")
+            f"ramsey_13: witness {witness}, expected a 5-pattern on (0, 1, 3, 4, 11)")
     if complement_oracle_check(g):  # a witness: is_class_member refused it
         raise ConstructionError("ramsey_13: a membership decider accepted it")
     omega = clique_number(g)

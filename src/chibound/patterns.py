@@ -8,11 +8,11 @@ neither.  There are three routes to a verdict:
 - ``is_class_member`` counts, for each non-adjacent pair, the vertices of
   their common neighbourhood that each of its members misses, and builds no
   witness; it is the fast path that campaigns and the sampler call;
-- ``check_membership`` decides with ``is_class_member`` first and searches
-  a non-member only for its lexicographically smallest witness:
-  ``find_3K1``, then ``find_forbidden_5pattern``, which tries the least
-  vertex of the pattern in ascending order (the CLI's ``check`` and
-  ``structure.decompose`` call it);
+- ``check_membership`` (the CLI's ``check`` and ``structure.decompose``
+  call it) decides with ``is_class_member`` first and names a non-member by
+  ``find_3K1``, the lexicographically smallest independent triple, else by
+  ``find_forbidden_5pattern``, the first 5-pattern the same pair scan
+  meets: on a 3K1-free graph, the one at which ``is_class_member`` stopped;
 - ``complement_oracle_check`` re-decides membership on the complement only
   and is the independent cross-check of ``is_class_member``: it takes the
   rows of a triangle-free complement from
@@ -93,72 +93,34 @@ def find_3K1(g: Graph) -> Optional[PatternWitness]:
     return None
 
 
-def _5patterns_from(adj: tuple[int, ...], s: int, above: int) -> list:
-    """Every (u1, u2, a, b, c) role tuple of a 5-pattern whose least vertex
-    is s; ``above`` holds the vertices above s.
+def find_forbidden_5pattern(g: Graph) -> Optional[PatternWitness]:
+    """The first 5-pattern the pair scan meets, or None if g has none.
 
-    As u2 > u1 and b > a, s is u1, a or c, and the other four roles are
-    read from the vertices above s:
-
-    - s = u1: u2 is a later non-neighbour of s, and c, a, b come from their
-      common neighbourhood, c missing both a and b;
-    - s = a or s = c: u1 < u2 are non-adjacent later neighbours of s.  When
-      s = a, b is a common neighbour of s, u1 and u2, and c one of u1 and
-      u2 that misses both s and b; when s = c, a < b are adjacent common
-      neighbours of u1 and u2 that s misses.
-    """
-    ns = adj[s] & above  # the later neighbours of s
-    far = above ^ ns  # and the later non-neighbours
-    found = []
-    for u2 in bits(far):
-        common = ns & adj[u2]
-        for c in bits(common):
-            miss = common & ~adj[c] & ~(1 << c)
-            if miss & (miss - 1):
+    The scan is ``is_class_member``'s: the non-adjacent pairs u1 < u2 in
+    ascending order, then each c of their common neighbourhood C, then
+    a < b in C, both missed by c, with ab an edge.  Every 5-pattern hangs on
+    its pair {u1, u2}, so none is missed.  On a 3K1-free graph any two
+    vertices that c misses are adjacent, so the witness is the one at which
+    ``is_class_member`` stopped: the same pair and the same c."""
+    adj = g.adj
+    for u1 in range(g.n):
+        for u2 in bits(g.full_mask & ~adj[u1] >> u1 + 1 << u1 + 1):
+            common = adj[u1] & adj[u2]
+            for c in bits(common):
+                miss = common & ~(adj[c] | 1 << c)
                 for a in bits(miss):
                     for b in bits(miss & adj[a] >> a + 1 << a + 1):
-                        found.append((s, u2, a, b, c))
-    for u1 in bits(ns):
-        for u2 in bits(ns & ~adj[u1] >> u1 + 1 << u1 + 1):
-            common = adj[u1] & adj[u2]
-            missed = common & far
-            if missed:
-                for b in bits(common & ns):
-                    for c in bits(missed & ~adj[b]):
-                        found.append((u1, u2, s, b, c))
-                for a in bits(missed):
-                    for b in bits(missed & adj[a] >> a + 1 << a + 1):
-                        found.append((u1, u2, a, b, s))
-    return found
-
-
-def find_forbidden_5pattern(g: Graph) -> Optional[PatternWitness]:
-    """Smallest witness under lexicographic 5-subset order, if any.
-
-    The least vertex s = 0, 1, ... is tried in turn, and the first s with
-    an occurrence gives the witness: the smallest vertex set among them.
-    An induced 5-pattern's roles are fixed by its vertex set once u1 < u2
-    and a < b (its complement is an edge u1u2 beside a path a-c-b), so the
-    set alone orders the witnesses.  A pattern-free graph is searched from
-    every s, which is slower than one pass over the non-adjacent pairs;
-    ``check_membership`` never passes one, as ``is_class_member`` decides
-    first.
-    """
-    adj = g.adj
-    full = g.full_mask
-    for s in range(g.n - 4):
-        found = _5patterns_from(adj, s, full >> s + 1 << s + 1)
-        if found:
-            roles = min(found, key=sorted)
-            return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
+                        roles = (u1, u2, a, b, c)
+                        return PatternWitness(TWO_K1_JOIN_K2_K1,
+                                              tuple(sorted(roles)), roles)
     return None
 
 
 def check_membership(g: Graph) -> Optional[PatternWitness]:
-    """None for members, else the excluding witness (3K1 checked first).
-
-    ``is_class_member`` decides, and only a non-member is searched for its
-    lexicographically smallest witness."""
+    """None for members, else the witness: the lexicographically smallest
+    3K1, else the first 5-pattern the pair scan meets (on a 3K1-free graph,
+    the one at which ``is_class_member`` stopped).  ``is_class_member``
+    decides, so only a non-member is searched."""
     if is_class_member(g):
         return None
     w = find_3K1(g)

@@ -235,17 +235,24 @@ def bf_lex_first_max_clique(g: Graph, within: int | None = None) -> tuple[int, i
     return 0, 0
 
 
-def bf_min_5pattern_roles(g: Graph):
-    """The (u1, u2, a, b, c) roles of the 5-pattern smallest under
-    ``(sorted(r), r)``, or None: every 5-subset in lexicographic order, and
-    each of its role assignments in lexicographic order, checked against
-    PATTERN_EDGES."""
-    for sub in combinations(range(g.n), 5):
-        for roles in permutations(sub):
-            if all(g.has_edge(roles[i], roles[j]) == ((i, j) in PATTERN_EDGES)
-                   for i, j in combinations(range(5), 2)):
-                return roles
-    return None
+def bf_first_5pattern_roles(g: Graph):
+    """The (u1, u2, a, b, c) roles of the 5-pattern that comes first under
+    the pair scan's key (u1, u2, c, a, b), or None: every role assignment of
+    every 5-subset checked against PATTERN_EDGES, those with u1 < u2 and
+    a < b kept."""
+    found = [roles for sub in combinations(range(g.n), 5)
+             for roles in permutations(sub)
+             if roles[0] < roles[1] and roles[2] < roles[3]
+             and all(g.has_edge(roles[i], roles[j]) == ((i, j) in PATTERN_EDGES)
+                     for i, j in combinations(range(5), 2))]
+    return min(found, key=scan_key, default=None)
+
+
+def scan_key(roles):
+    """The order in which ``patterns.find_forbidden_5pattern`` meets the
+    (u1, u2, a, b, c) role tuples: by u1, u2, c, a, then b."""
+    u1, u2, a, b, c = roles
+    return u1, u2, c, a, b
 
 
 # References for the engines' fast paths: the versions they replaced,
@@ -304,9 +311,10 @@ def max_clique_by_reconstruction(g: Graph, within: int | None = None) -> tuple[i
 
 def iter_5pattern_roles_edge_first(g: Graph):
     """Every 5-pattern role tuple, the reference for
-    ``patterns.find_forbidden_5pattern``: for each non-adjacent pair, every
-    edge ab inside the common neighbourhood, then every c there that misses
-    both a and b."""
+    ``patterns.find_forbidden_5pattern``, whose witness is the first of them
+    under ``scan_key``: for each non-adjacent pair, every edge ab inside the
+    common neighbourhood, then every c there that misses both a and b (c
+    last, where the scan takes it before a and b)."""
     adj = g.adj
     full = g.full_mask
     for u1 in range(g.n - 1):
@@ -318,6 +326,27 @@ def iter_5pattern_roles_edge_first(g: Graph):
                     cmask = common & ~adj[a] & ~adj[b] & ~(1 << a) & ~(1 << b)
                     for c in bits_generator(cmask):
                         yield (u1, u2, a, b, c)
+
+
+def first_5pattern_edge_first(g: Graph):
+    """The role tuple of ``iter_5pattern_roles_edge_first`` that comes first
+    under ``scan_key``, or None: the reference witness."""
+    return min(iter_5pattern_roles_edge_first(g), key=scan_key, default=None)
+
+
+def first_pair_scan_stop(g: Graph):
+    """(u1, u2, c) where ``patterns.is_class_member`` stops on a graph
+    without a 3K1, or None: the first non-adjacent pair u1 < u2, and then
+    the first c of their common neighbourhood, such that c misses two
+    vertices of that neighbourhood."""
+    for u1, u2 in combinations(range(g.n), 2):
+        if g.has_edge(u1, u2):
+            continue
+        common = [v for v in range(g.n) if g.has_edge(u1, v) and g.has_edge(u2, v)]
+        for c in common:
+            if sum(v != c and not g.has_edge(c, v) for v in common) >= 2:
+                return u1, u2, c
+    return None
 
 
 def is_class_member_closed_list(g: Graph) -> bool:
@@ -389,16 +418,19 @@ def complement_oracle_rows_first(g: Graph) -> bool:
     return True
 
 
-def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
-    """DSATUR's greedy colouring: each pick is ``max()`` over the uncoloured
-    vertices with the key (saturation, degree, -u), coloured with the
-    smallest colour none of its neighbours has."""
+def dsatur_greedy_max_keyed(g: Graph, clique: int = 0) -> list[int]:
+    """DSATUR's greedy colouring: the vertices of ``clique`` (none unless
+    given) are picked first, in vertex order, and every later pick is
+    ``max()`` over the uncoloured vertices with the key (saturation, degree,
+    -u); each pick is coloured with the smallest colour none of its
+    neighbours has, so a clique's vertices get 0, 1, ... in vertex order."""
     n = g.n
     colors = [-1] * n
     neighbor_colors = [0] * n
     degrees = [g.degree(v) for v in range(n)]
-    for _ in range(n):
-        v = max(
+    first = list(bits_generator(clique))
+    for i in range(n):
+        v = first[i] if i < len(first) else max(
             (u for u in range(n) if colors[u] == -1),
             key=lambda u: (neighbor_colors[u].bit_count(), degrees[u], -u),
         )
@@ -409,6 +441,13 @@ def dsatur_greedy_max_keyed(g: Graph) -> list[int]:
         for u in bits_generator(g.adj[v]):
             neighbor_colors[u] |= 1 << c
     return colors
+
+
+def clique_first_descent(g: Graph) -> list[int]:
+    """The first descent of ``invariants.chromatic_exact``, which never
+    backtracks: DSATUR's greedy colouring from the lexicographically first
+    maximum clique, pre-coloured 0, 1, ... in vertex order."""
+    return dsatur_greedy_max_keyed(g, max_clique_by_reconstruction(g)[1])
 
 
 def _tuple_keyed_search(g: Graph, omega: int, clique: int, best_k: int,

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +11,17 @@ import pytest
 import chibound
 from chibound import cli
 from chibound.cli import main
-from chibound.constructions import (cycle, extremal_omega5, extremal_witnesses,
-                                    wheel6)
-from chibound import corpus, invariants
+from chibound.constructions import cycle, extremal_omega5, wheel6
+from chibound import corpus, invariants, patterns
 from chibound.corpus import enumerate_class
-from chibound.graphs import (complete_graph, disjoint_union, empty_graph, join,
-                             parse_graph6, serialize_graph6)
+from chibound.graphs import parse_graph6, serialize_graph6
+from chibound.patterns import TWO_K1_JOIN_K2_K1, PatternWitness
 from oracles import (bf_independent_triple, check_invariants_record,
-                     chromatic_exact_clique_first, dsatur_greedy_max_keyed,
-                     is_class_member_closed_list, max_clique_by_reconstruction,
-                     random_graph, triangle_free_complement)
+                     chromatic_exact_clique_first, clique_first_descent,
+                     first_5pattern_edge_first, is_class_member_closed_list,
+                     max_clique_by_reconstruction)
+from streams import (backtrack_stream, bound_stream, dense_stream,
+                     large_stream, pinned_stream, witness_stream)
 
 
 def cycle6():
@@ -206,76 +206,6 @@ class TestDecompose:
         assert failed["error"].startswith("no partitioning pair")
 
 
-# The first 30 members of sample_class(12, 30, 7), frozen so that the pins
-# below do not move with the sampler.
-SAMPLED_N12 = r"""
-KtLI\rpRa[hr KMYRSindZsNP KyTY|@]F~ASJ KwzvWoTEWrbN KRlULTUirxTY
-KVi|\}nQi_iB KJ\z{m@yKnON KesepGdH]sZP KmfpRNte`UdZ Kw~fGoXEWn{p
-K[m~ZE}SQaiJ K~}aquchGN~e KwsvOziFPiej KeGm`Wls`ZYQ K|RnWoXE\bbN
-KezUhngLpRdN K\PlctLZLeHm K`K~h{~N}CX@ KwdvOw\yfSbk KYik{|o[J`rw
-KkLmefRZEfLa KnIKX^oJs]}C KT\I\rE^q\wt KwK^Ek{ynEfe KzFr{OZE~I]p
-KJaK[\obr`MD KQT^Ix^gdqsR KZ]bsIDU|JOn KpNEMMwmI}Jx K}JpOsZzejYl
-""".split()
-
-
-def pinned_stream() -> str:
-    """The seven extremal witnesses, 30 sampled n = 12 members, C6, the
-    5-pattern, K4 plus two isolated vertices (a 3K1) and a dense G(18, 0.7)."""
-    tail = [cycle(6),
-            join(empty_graph(2), disjoint_union(complete_graph(2), empty_graph(1))),
-            disjoint_union(complete_graph(4), empty_graph(2)),
-            random_graph(18, 0.7, random.Random(18))]
-    lines = [*map(serialize_graph6, extremal_witnesses()), *SAMPLED_N12,
-             *map(serialize_graph6, tail)]
-    return "".join(line + "\n" for line in lines)
-
-
-def dense_stream() -> str:
-    """60 G(n, p) graphs with n from 10 to 20 and p from 0.5 to 0.95, then
-    20 complements of maximal triangle-free graphs with n from 9 to 14."""
-    rng = random.Random(2014)
-    graphs = [random_graph(rng.randint(10, 20), rng.uniform(0.5, 0.95), rng)
-              for _ in range(60)]
-    graphs += [triangle_free_complement(rng.randint(9, 14), rng) for _ in range(20)]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
-
-
-def witness_stream() -> str:
-    """240 complements of maximal triangle-free graphs with n from 9 to 14:
-    no 3K1, so every non-member among them (128) is named by its
-    5-pattern."""
-    rng = random.Random(2016)
-    graphs = [triangle_free_complement(rng.randint(9, 14), rng) for _ in range(240)]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
-
-
-def backtrack_stream() -> str:
-    """60 G(n, p) graphs with n from 16 to 20 and p from 0.45 to 0.75, each
-    with a 3K1, so chi comes from the exact engine; on 25 of them pure
-    DSATUR greedy exceeds omega."""
-    rng = random.Random(2017)
-    graphs = [random_graph(rng.randint(16, 20), rng.uniform(0.45, 0.75), rng)
-              for _ in range(60)]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
-
-
-def large_stream() -> str:
-    """30 complements of maximal triangle-free graphs with n from 21 to 64,
-    above the exact chromatic engine's limit."""
-    rng = random.Random(2015)
-    graphs = [triangle_free_complement(rng.randint(21, 64), rng) for _ in range(30)]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
-
-
-def bound_stream() -> str:
-    """Six G(n, p) graphs at each n in 20, 32, 33 and 64, with p from 0.05
-    to 0.95: both sides of the 32-vertex bound of graph6's table decoder."""
-    rng = random.Random(2032)
-    graphs = [random_graph(n, rng.uniform(0.05, 0.95), rng)
-              for n in (20, 32, 33, 64) for _ in range(6)]
-    return "".join(serialize_graph6(g) + "\n" for g in graphs)
-
-
 def certify_invariants(capsys, monkeypatch, stream, out):
     """Every record of the invariants pass over stream, whose stdout is
     out, certifies itself, and a pass whose exact engine is the clique-first
@@ -289,12 +219,36 @@ def certify_invariants(capsys, monkeypatch, stream, out):
     assert ref == out
 
 
+def reference_5pattern(g):
+    """The witness of the edge-first reference."""
+    roles = first_5pattern_edge_first(g)
+    if roles is None:
+        return None
+    return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
+
+
+def certify(capsys, monkeypatch, cmd, stream, out):
+    """A pass of cmd over stream whose stdout is out prints the same as one
+    with the references in place: for invariants, the records certify
+    themselves and the exact engine is the clique-first reference; for check
+    and decompose, the 5-pattern finder is the edge-first reference."""
+    if cmd == "invariants":
+        certify_invariants(capsys, monkeypatch, stream, out)
+        return
+    with monkeypatch.context() as m:
+        m.setattr(patterns, "find_forbidden_5pattern", reference_5pattern)
+        _, ref, _ = run(capsys, cmd, "-", stdin=stream(), monkeypatch=m)
+    assert ref == out
+
+
 class TestPerGraphBytes:
     # The sha256 of each pass's stdout over one fixed stream: every record,
     # decompose's error records for graphs without a partitioning pair
-    # included, must stay byte-identical across refactors.  The invariants
-    # digests were taken from passes whose exact engine was the clique-first
-    # reference, which each invariants case runs again.
+    # included, must stay byte-identical across refactors.  Each case also
+    # runs a pass with the references in place (the clique-first exact
+    # engine for invariants, the edge-first 5-pattern finder for check and
+    # decompose) and asserts the same stdout; a digest that moves with one
+    # of those rules is taken from such a pass.
     @pytest.mark.parametrize("cmd, code, digest", [
         ("check", 2, "2ae0ab5dfe205b550627d547313a44f20f068ff5542bed9e4be231bfe577327c"),
         ("invariants", 0, "38a2769c434477043dbbc1b65fe306495f21b0c969f4315e1cfcb17488b51521"),
@@ -305,29 +259,27 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        if cmd == "invariants":
-            certify_invariants(capsys, monkeypatch, pinned_stream, out)
+        certify(capsys, monkeypatch, cmd, pinned_stream, out)
 
     # The same over dense_stream(), where most lines are non-members with a
     # witness to find and omega runs up to 14.
     @pytest.mark.parametrize("cmd, code, digest", [
-        ("check", 2, "5e3beb6fe50352faf0c028fe551b96c9103651f88ee3804b9cd6e51d04edf3a7"),
+        ("check", 2, "06ff1eaf4f59b8df2355e35f37e9a67dfa6ce66046cfe9a3f28244b8ece23dc1"),
         ("invariants", 0, "124edcfcb257ef080f14941668cf2ec65f8952f0618a76611af97a8e341dcbde"),
-        ("decompose", 1, "2c4796bc4686d5ed51a791c974e8b75cee73c74c2bb4e7b77ff967956eeb7208"),
+        ("decompose", 1, "704c34b105bfeb9d3aba55ae20c4d9da4979e905a60a124e47ed92891ac930ce"),
     ])
     def test_dense_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
         got, out, err = run(capsys, cmd, "-", stdin=dense_stream(),
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        if cmd == "invariants":
-            certify_invariants(capsys, monkeypatch, dense_stream, out)
+        certify(capsys, monkeypatch, cmd, dense_stream, out)
 
     # The 5-pattern witnesses of 3K1-free non-members, and the exact chi and
     # colouring where the branch and bound has to search.
     @pytest.mark.parametrize("stream, cmd, code, digest", [
         (witness_stream, "check", 2,
-         "855823bc056996de154bf02f75ddbfbe949f85627428ca07bab4fc5f93800906"),
+         "d509d3acf2aa33ec8f38dc058e2b544176d8be5d0e4e8ed3df50c47cc8ea9d0d"),
         (backtrack_stream, "invariants", 0,
          "882cc3e4d30a7d1e6be53b8d682d6ce91e98c6128e316d600c7b2892c98c1433"),
     ])
@@ -337,20 +289,27 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        if cmd == "invariants":
-            certify_invariants(capsys, monkeypatch, stream, out)
+        certify(capsys, monkeypatch, cmd, stream, out)
 
     def test_search_streams_reach_the_searches(self):
         graphs = [parse_graph6(line) for line in witness_stream().split()]
         assert not any(bf_independent_triple(g) for g in graphs)
         assert sum(not is_class_member_closed_list(g) for g in graphs) == 128
-        backtracking = 0
-        for line in backtrack_stream().split():
-            g = parse_graph6(line)
-            assert bf_independent_triple(g) is not None
-            greedy = max(dsatur_greedy_max_keyed(g)) + 1
-            backtracking += greedy > max_clique_by_reconstruction(g)[0]
-        assert backtracking == 25
+        # The exact engine searches past its first descent where that
+        # descent uses more than omega colours; where it does not, the
+        # descent is the engine's colouring.
+        for stream, lines, searching in ((backtrack_stream, 60, 29),
+                                         (dense_stream, 51, 12)):
+            past_descent = 0
+            graphs = [parse_graph6(line) for line in stream().split()]
+            graphs = [g for g in graphs if bf_independent_triple(g) is not None]
+            for g in graphs:
+                descent = clique_first_descent(g)
+                if max(descent) + 1 > max_clique_by_reconstruction(g)[0]:
+                    past_descent += 1
+                else:
+                    assert invariants.chromatic_exact(g)[1] == tuple(descent)
+            assert (len(graphs), past_descent) == (lines, searching)
 
     # The check records, the graph6 echo included, on either side of the
     # decoder's table bound.
@@ -398,7 +357,7 @@ class TestGen:
             if family == "boundary":
                 assert code == 2
                 assert [v["witness"]["kind"] for v in verdicts] == ["TwoK1JoinK2K1"]
-                assert verdicts[0]["witness"]["vertices"] == [0, 1, 3, 4, 6]
+                assert verdicts[0]["witness"]["vertices"] == [0, 1, 3, 4, 11]
             else:
                 assert code == 0
                 assert verdicts and all(v["member"] for v in verdicts)

@@ -123,7 +123,8 @@ class TestRamsey13:
         g = ramsey_13()
         assert find_3K1(g) is None
         w = check_membership(g)
-        assert (w.kind, w.vertices) == ("TwoK1JoinK2K1", (0, 1, 3, 4, 6))
+        assert (w.kind, w.vertices) == ("TwoK1JoinK2K1", (0, 1, 3, 4, 11))
+        assert w.roles == (0, 1, 4, 11, 3)  # u1, u2, a, b, c
         assert not is_class_member(g) and not complement_oracle_check(g)
         assert clique_number(g) == 4
         assert chromatic_exact(g)[0] == chi_via_matching(g)[0] == 7 > bound_f(4)

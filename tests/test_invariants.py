@@ -18,7 +18,7 @@ from oracles import (bf_chromatic, bf_lex_first_max_clique, bf_max_clique,
                      has_augmenting_path, max_clique_by_reconstruction,
                      max_matching_unstopped, mc_expand_prefixes, petersen,
                      random_graph, triangle_free_complement)
-from test_cli import backtrack_stream, dense_stream
+from streams import backtrack_stream, dense_stream
 
 # Random graphs for the reference cross-checks: n <= 24, p from 0.2 to 0.95.
 _dense_graphs = st.builds(

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibound.graphs import (complete_graph, empty_graph, from_edges,
-                             induced_subgraph, join, relabel, serialize_graph6)
+                             induced_subgraph, join, parse_graph6, relabel,
+                             serialize_graph6)
 from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
                                check_membership,
                                complement_oracle_check, find_3K1,
@@ -12,11 +13,12 @@ from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
                                witness_is_valid)
 from chibound.constructions import cycle
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs
-from oracles import (bf_has_5pattern, bf_independent_triple,
-                     bf_min_5pattern_roles, complement_oracle_of_graph,
-                     complement_oracle_rows_first, is_class_member_closed_list,
-                     iter_5pattern_roles_edge_first, petersen, random_graph,
-                     triangle_free_complement)
+from oracles import (bf_first_5pattern_roles, bf_has_5pattern,
+                     bf_independent_triple, complement_oracle_of_graph,
+                     complement_oracle_rows_first, first_5pattern_edge_first,
+                     first_pair_scan_stop, is_class_member_closed_list,
+                     petersen, random_graph, triangle_free_complement)
+from streams import witness_stream
 
 
 def pattern_graph():
@@ -88,12 +90,10 @@ class TestFind5Pattern:
 
 
 def same_witness_as_reference(g) -> bool:
-    """The witness's roles are the smallest under (sorted(r), r) of every
-    role tuple the edge-first reference enumerates."""
+    """The witness's roles come first under the scan key of every role
+    tuple the edge-first reference enumerates."""
     w = find_forbidden_5pattern(g)
-    smallest = min(iter_5pattern_roles_edge_first(g),
-                   key=lambda r: (sorted(r), r), default=None)
-    return (w.roles if w is not None else None) == smallest
+    return (w.roles if w is not None else None) == first_5pattern_edge_first(g)
 
 
 class TestRolesAgainstReference:
@@ -125,7 +125,24 @@ class TestRolesAgainstReference:
     def test_witness_is_brute_force_minimum(self, n, p, rng):
         g = random_graph(n, p, rng)
         w = find_forbidden_5pattern(g)
-        assert (w.roles if w is not None else None) == bf_min_5pattern_roles(g)
+        assert (w.roles if w is not None else None) == bf_first_5pattern_roles(g)
+
+    def test_witness_sits_where_the_decider_stopped(self):
+        # No 3K1 in either group, so the pair scan of is_class_member stops
+        # at the first pair and c where c misses two common neighbours, and
+        # the 5-pattern check_membership names sits at that pair and c.
+        graphs = [triangle_free_complement(8 + seed % 9, random.Random(seed))
+                  for seed in range(90)]
+        graphs += [parse_graph6(line) for line in witness_stream().split()]
+        rejects = 0
+        for g in graphs:
+            stop = first_pair_scan_stop(g)
+            assert (stop is None) == is_class_member(g)
+            if stop is not None:
+                u1, u2, a, b, c = check_membership(g).roles
+                assert (u1, u2, c) == stop, serialize_graph6(g)
+                rejects += 1
+        assert rejects == 46 + 128
 
 
 def same_verdicts_as_references(g) -> bool:
