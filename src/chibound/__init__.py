@@ -8,8 +8,7 @@ from .graphs import (Graph, GraphFormatError, complement, complete_graph,
                      from_edges, induced_subgraph, is_connected, join,
                      parse_dimacs, parse_graph6, serialize_graph6)
 from .patterns import (PatternWitness, check_membership,
-                       complement_oracle_check, find_3K1,
-                       find_forbidden_5pattern, is_class_member,
+                       complement_oracle_check, is_class_member,
                        witness_is_valid)
 from .invariants import (bound_f, chi_via_matching, chromatic_exact,
                          clique_number, compute_invariants, max_clique,

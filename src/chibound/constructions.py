@@ -119,14 +119,14 @@ def ramsey_13() -> Graph:
 
     It has no independent triple, clique number 4 and chromatic number
     7 > f(4) = 6: the bound needs the 5-pattern forbidden too, and this graph
-    contains one, on the vertices (0, 1, 3, 4, 11): the first the pair scan
-    meets, at the pair (0, 1) with c = 3 (its complement there is the edge
+    contains one, on the vertices (0, 1, 3, 4, 11): where the pair scan
+    stops, at the pair (0, 1) with c = 3 (its complement there is the edge
     0-1 beside the path 4-3-11).  Its complement is the (3,5)-Ramsey graph
     on 13 vertices.
     """
     g = complement(from_edges(13, [(i, (i + d) % 13)
                                    for i in range(13) for d in (1, 5)]))
-    witness = check_membership(g)  # a 3K1, if any, comes first
+    witness = check_membership(g)  # where the pair scan stopped
     if (witness is None or witness.kind != TWO_K1_JOIN_K2_K1
             or witness.vertices != (0, 1, 3, 4, 11)):
         raise ConstructionError(

@@ -5,14 +5,14 @@ triple, and the 5-vertex pattern obtained by joining two isolated vertices
 to (an edge plus an isolated vertex).  A graph is a member iff it contains
 neither.  There are three routes to a verdict:
 
-- ``is_class_member`` counts, for each non-adjacent pair, the vertices of
-  their common neighbourhood that each of its members misses, and builds no
-  witness; it is the fast path that campaigns and the sampler call;
+- ``is_class_member`` runs the one pair scan, ``_pair_scan_stop``: for each
+  non-adjacent pair, a common non-neighbour, then the vertices of their
+  common neighbourhood that each of its members misses; it builds no
+  witness and is the fast path that campaigns and the sampler call;
 - ``check_membership`` (the CLI's ``check`` and ``structure.decompose``
-  call it) decides with ``is_class_member`` first and names a non-member by
-  ``find_3K1``, the lexicographically smallest independent triple, else by
-  ``find_forbidden_5pattern``, the first 5-pattern the same pair scan
-  meets: on a 3K1-free graph, the one at which ``is_class_member`` stopped;
+  call it) runs the same scan and names a non-member by the witness where
+  the scan stopped: the pair and its common non-neighbour, or the pair, the
+  common neighbour c and the two lowest vertices that c misses;
 - ``complement_oracle_check`` re-decides membership on the complement only
   and is the independent cross-check of ``is_class_member``: it takes the
   rows of a triangle-free complement from
@@ -54,7 +54,7 @@ class PatternWitness:
 
 
 def witness_is_valid(g: Graph, w: PatternWitness) -> bool:
-    """Re-check a witness against the graph, independent of the finders."""
+    """Re-check a witness against the graph, independent of the pair scan."""
     if len(set(w.vertices)) != len(w.vertices):
         return False
     if any(not 0 <= v < g.n for v in w.vertices):
@@ -79,65 +79,17 @@ def witness_is_valid(g: Graph, w: PatternWitness) -> bool:
     return False
 
 
-def find_3K1(g: Graph) -> Optional[PatternWitness]:
-    """Lexicographically smallest independent triple, if any."""
-    adj = g.adj
-    full = g.full_mask
-    for u in range(g.n - 2):
-        non_u = ~adj[u] & full & ~((1 << (u + 1)) - 1)
-        for v in bits(non_u):
-            rest = non_u & ~adj[v] & ~((1 << (v + 1)) - 1)
-            if rest:
-                w = (rest & -rest).bit_length() - 1
-                return PatternWitness(THREE_K1, (u, v, w))
-    return None
+def _pair_scan_stop(g: Graph) -> Optional[tuple[int, int, int]]:
+    """Where one pass over the non-adjacent pairs u1 < u2 finds g excluded,
+    or None if it is a member: (u1, u2, -1) at a common non-neighbour, else
+    (u1, u2, c) at the first c of their common neighbourhood C that misses
+    two vertices of C.
 
-
-def find_forbidden_5pattern(g: Graph) -> Optional[PatternWitness]:
-    """The first 5-pattern the pair scan meets, or None if g has none.
-
-    The scan is ``is_class_member``'s: the non-adjacent pairs u1 < u2 in
-    ascending order, then each c of their common neighbourhood C, then
-    a < b in C, both missed by c, with ab an edge.  Every 5-pattern hangs on
-    its pair {u1, u2}, so none is missed.  On a 3K1-free graph any two
-    vertices that c misses are adjacent, so the witness is the one at which
-    ``is_class_member`` stopped: the same pair and the same c."""
-    adj = g.adj
-    for u1 in range(g.n):
-        for u2 in bits(g.full_mask & ~adj[u1] >> u1 + 1 << u1 + 1):
-            common = adj[u1] & adj[u2]
-            for c in bits(common):
-                miss = common & ~(adj[c] | 1 << c)
-                for a in bits(miss):
-                    for b in bits(miss & adj[a] >> a + 1 << a + 1):
-                        roles = (u1, u2, a, b, c)
-                        return PatternWitness(TWO_K1_JOIN_K2_K1,
-                                              tuple(sorted(roles)), roles)
-    return None
-
-
-def check_membership(g: Graph) -> Optional[PatternWitness]:
-    """None for members, else the witness: the lexicographically smallest
-    3K1, else the first 5-pattern the pair scan meets (on a 3K1-free graph,
-    the one at which ``is_class_member`` stopped).  ``is_class_member``
-    decides, so only a non-member is searched."""
-    if is_class_member(g):
-        return None
-    w = find_3K1(g)
-    if w is not None:
-        return w
-    return find_forbidden_5pattern(g)
-
-
-def is_class_member(g: Graph) -> bool:
-    """Membership verdict from one pass over the non-adjacent pairs u1 < u2.
-
-    A common non-neighbour of u1 and u2 is a 3K1.  Otherwise let C be their
-    common neighbourhood: a c in C that misses two vertices a, b of C
-    excludes g, since {u1, u2, a, b, c} is the 5-pattern if ab is an edge
-    and {a, b, c} is a 3K1 if not.  Every 3K1 contains a non-adjacent pair
-    with a common non-neighbour, and every 5-pattern is caught at its pair
-    {u1, u2}, so nothing is missed.  No witness is built.
+    A common non-neighbour is a 3K1.  A c that misses a, b in C excludes g,
+    since {u1, u2, a, b, c} is the 5-pattern if ab is an edge and {a, b, c}
+    is a 3K1 if not.  Every 3K1 contains a non-adjacent pair with a common
+    non-neighbour, and every 5-pattern is caught at its pair {u1, u2}, so
+    nothing is missed.
 
     The rows of g.adj are read as they are: a closed neighbourhood
     ``adj[x] | 1 << x`` is formed only for the pair or the common neighbour
@@ -151,9 +103,10 @@ def is_class_member(g: Graph) -> bool:
         while later:
             low = later & -later
             later ^= low
-            a2 = adj[low.bit_length() - 1]
+            u2 = low.bit_length() - 1
+            a2 = adj[u2]
             if c1 | low | a2 != full:  # a common non-neighbour
-                return False
+                return u1, u2, -1
             common = a1 & a2
             rest = common
             while rest:
@@ -161,8 +114,40 @@ def is_class_member(g: Graph) -> bool:
                 rest ^= low
                 miss = common & ~(adj[low.bit_length() - 1] | low)
                 if miss & (miss - 1):
-                    return False
-    return True
+                    return u1, u2, low.bit_length() - 1
+    return None
+
+
+def is_class_member(g: Graph) -> bool:
+    """Membership verdict from the one pair scan; no witness is built.
+    Campaigns and the sampler call it."""
+    return _pair_scan_stop(g) is None
+
+
+def check_membership(g: Graph) -> Optional[PatternWitness]:
+    """None for members, else the witness where the pair scan stopped, at
+    (u1, u2, c), found without scanning again.
+
+    At c = -1, the 3K1 of u1, u2 and w, their lowest common non-neighbour:
+    it is ascending, since a lower w would have stopped the scan at an
+    earlier pair.  Otherwise, with a < b the two lowest vertices of the
+    common neighbourhood that c misses, the 5-pattern with roles
+    (u1, u2, a, b, c) if ab is an edge, else the 3K1 {a, b, c}.  On a
+    3K1-free graph any two vertices that c misses are adjacent, so the
+    witness is always that 5-pattern."""
+    stop = _pair_scan_stop(g)
+    if stop is None:
+        return None
+    u1, u2, c = stop
+    adj = g.adj
+    if c < 0:
+        rest = g.full_mask & ~(adj[u1] | adj[u2] | 1 << u1 | 1 << u2)
+        return PatternWitness(THREE_K1, (u1, u2, (rest & -rest).bit_length() - 1))
+    a, b = bits(adj[u1] & adj[u2] & ~(adj[c] | 1 << c))[:2]
+    if adj[a] >> b & 1:
+        roles = (u1, u2, a, b, c)
+        return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
+    return PatternWitness(THREE_K1, tuple(sorted((a, b, c))))
 
 
 # ---------------------------------------------------------------------------

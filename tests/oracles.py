@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 from chibound.graphs import (MAX_VERTICES, Graph, GraphFormatError, complement,
                              from_edges)
 from chibound.invariants import bound_f
+from chibound.patterns import THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness
 
 # u1=0, u2=1, a=2, b=3, c=4
 PATTERN_EDGES = frozenset(
@@ -249,8 +250,8 @@ def bf_first_5pattern_roles(g: Graph):
 
 
 def scan_key(roles):
-    """The order in which ``patterns.find_forbidden_5pattern`` meets the
-    (u1, u2, a, b, c) role tuples: by u1, u2, c, a, then b."""
+    """The order in which the pair scan of ``patterns.check_membership``
+    meets the (u1, u2, a, b, c) role tuples: by u1, u2, c, a, then b."""
     u1, u2, a, b, c = roles
     return u1, u2, c, a, b
 
@@ -310,11 +311,11 @@ def max_clique_by_reconstruction(g: Graph, within: int | None = None) -> tuple[i
 
 
 def iter_5pattern_roles_edge_first(g: Graph):
-    """Every 5-pattern role tuple, the reference for
-    ``patterns.find_forbidden_5pattern``, whose witness is the first of them
-    under ``scan_key``: for each non-adjacent pair, every edge ab inside the
-    common neighbourhood, then every c there that misses both a and b (c
-    last, where the scan takes it before a and b)."""
+    """Every 5-pattern role tuple, the reference for the witness that
+    ``patterns.check_membership`` names on a graph without a 3K1, the first
+    of them under ``scan_key``: for each non-adjacent pair, every edge ab
+    inside the common neighbourhood, then every c there that misses both a
+    and b (c last, where the scan takes it before a and b)."""
     adj = g.adj
     full = g.full_mask
     for u1 in range(g.n - 1):
@@ -330,23 +331,48 @@ def iter_5pattern_roles_edge_first(g: Graph):
 
 def first_5pattern_edge_first(g: Graph):
     """The role tuple of ``iter_5pattern_roles_edge_first`` that comes first
-    under ``scan_key``, or None: the reference witness."""
+    under ``scan_key``, or None: the reference 5-pattern witness."""
     return min(iter_5pattern_roles_edge_first(g), key=scan_key, default=None)
 
 
 def first_pair_scan_stop(g: Graph):
-    """(u1, u2, c) where ``patterns.is_class_member`` stops on a graph
-    without a 3K1, or None: the first non-adjacent pair u1 < u2, and then
-    the first c of their common neighbourhood, such that c misses two
-    vertices of that neighbourhood."""
+    """(u1, u2, c) where ``patterns.is_class_member`` stops, or None: the
+    first non-adjacent pair u1 < u2 with a common non-neighbour (then
+    c = -1), or else with a c of their common neighbourhood that misses two
+    vertices of that neighbourhood, and the first such c."""
     for u1, u2 in combinations(range(g.n), 2):
         if g.has_edge(u1, u2):
             continue
+        if any(not g.has_edge(u1, v) and not g.has_edge(u2, v)
+               for v in range(g.n) if v not in (u1, u2)):
+            return u1, u2, -1
         common = [v for v in range(g.n) if g.has_edge(u1, v) and g.has_edge(u2, v)]
         for c in common:
             if sum(v != c and not g.has_edge(c, v) for v in common) >= 2:
                 return u1, u2, c
     return None
+
+
+def first_exclusion_witness(g: Graph):
+    """Reference for ``patterns.check_membership``: the witness at
+    ``first_pair_scan_stop``, or None.  At c = -1 the 3K1 of u1, u2 and
+    their lowest common non-neighbour; otherwise, with a < b the two lowest
+    common neighbours that c misses, the 5-pattern (u1, u2, a, b, c) if ab
+    is an edge and the 3K1 {a, b, c} if not."""
+    stop = first_pair_scan_stop(g)
+    if stop is None:
+        return None
+    u1, u2, c = stop
+    if c == -1:
+        w = min(v for v in range(g.n) if v not in (u1, u2)
+                and not g.has_edge(u1, v) and not g.has_edge(u2, v))
+        return PatternWitness(THREE_K1, tuple(sorted((u1, u2, w))))
+    a, b = [v for v in range(g.n) if v != c and g.has_edge(u1, v)
+            and g.has_edge(u2, v) and not g.has_edge(c, v)][:2]
+    if g.has_edge(a, b):
+        roles = (u1, u2, a, b, c)
+        return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
+    return PatternWitness(THREE_K1, tuple(sorted((a, b, c))))
 
 
 def is_class_member_closed_list(g: Graph) -> bool:

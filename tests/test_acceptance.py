@@ -10,10 +10,11 @@ from chibound.constructions import extremal_omega5, extremal_witnesses
 from chibound.corpus import (enumerate_class, exhaustive_population,
                              run_verification, sample_class,
                              sample_population)
-from chibound.graphs import parse_graph6, serialize_graph6
+from chibound.graphs import (parse_graph6, serialize_graph6,
+                             triangle_free_complement_rows)
 from chibound.invariants import (bound_f, chi_via_matching, chromatic_exact,
                                  clique_number)
-from chibound.patterns import complement_oracle_check, find_3K1, is_class_member
+from chibound.patterns import complement_oracle_check, is_class_member
 
 EXHAUSTIVE_MAX_N = 7
 SAMPLE_COUNT = 100_000
@@ -51,7 +52,7 @@ class EngineComparingPopulation:
 
     def stream(self):
         for g in self.population.stream():
-            if find_3K1(g) is None:
+            if triangle_free_complement_rows(g) is not None:
                 self.engine_checked += 1
                 if chromatic_exact(g)[0] != chi_via_matching(g)[0]:
                     self.engine_disagreements += 1

@@ -12,13 +12,12 @@ import chibound
 from chibound import cli
 from chibound.cli import main
 from chibound.constructions import cycle, extremal_omega5, wheel6
-from chibound import corpus, invariants, patterns
+from chibound import corpus, invariants, structure
 from chibound.corpus import enumerate_class
 from chibound.graphs import parse_graph6, serialize_graph6
-from chibound.patterns import TWO_K1_JOIN_K2_K1, PatternWitness
 from oracles import (bf_independent_triple, check_invariants_record,
                      chromatic_exact_clique_first, clique_first_descent,
-                     first_5pattern_edge_first, is_class_member_closed_list,
+                     first_exclusion_witness, is_class_member_closed_list,
                      max_clique_by_reconstruction)
 from streams import (backtrack_stream, bound_stream, dense_stream,
                      large_stream, pinned_stream, witness_stream)
@@ -219,24 +218,18 @@ def certify_invariants(capsys, monkeypatch, stream, out):
     assert ref == out
 
 
-def reference_5pattern(g):
-    """The witness of the edge-first reference."""
-    roles = first_5pattern_edge_first(g)
-    if roles is None:
-        return None
-    return PatternWitness(TWO_K1_JOIN_K2_K1, tuple(sorted(roles)), roles)
-
-
 def certify(capsys, monkeypatch, cmd, stream, out):
     """A pass of cmd over stream whose stdout is out prints the same as one
     with the references in place: for invariants, the records certify
     themselves and the exact engine is the clique-first reference; for check
-    and decompose, the 5-pattern finder is the edge-first reference."""
+    and decompose, ``check_membership`` is the naive pair-scan reference
+    ``first_exclusion_witness``."""
     if cmd == "invariants":
         certify_invariants(capsys, monkeypatch, stream, out)
         return
     with monkeypatch.context() as m:
-        m.setattr(patterns, "find_forbidden_5pattern", reference_5pattern)
+        m.setattr(cli, "check_membership", first_exclusion_witness)
+        m.setattr(structure, "check_membership", first_exclusion_witness)
         _, ref, _ = run(capsys, cmd, "-", stdin=stream(), monkeypatch=m)
     assert ref == out
 
@@ -246,13 +239,13 @@ class TestPerGraphBytes:
     # decompose's error records for graphs without a partitioning pair
     # included, must stay byte-identical across refactors.  Each case also
     # runs a pass with the references in place (the clique-first exact
-    # engine for invariants, the edge-first 5-pattern finder for check and
+    # engine for invariants, the naive pair-scan witness for check and
     # decompose) and asserts the same stdout; a digest that moves with one
     # of those rules is taken from such a pass.
     @pytest.mark.parametrize("cmd, code, digest", [
-        ("check", 2, "2ae0ab5dfe205b550627d547313a44f20f068ff5542bed9e4be231bfe577327c"),
+        ("check", 2, "9ec710b1cb71fcafdefadbee4b5a91ff273c30ce952587806bcb7d77d00efc98"),
         ("invariants", 0, "38a2769c434477043dbbc1b65fe306495f21b0c969f4315e1cfcb17488b51521"),
-        ("decompose", 1, "d9aded4982626324c14e75824c1b211d25665db23092be0b82b5672ad91d498e"),
+        ("decompose", 1, "31482b4bc178096ad55bd318e19c87f2ecbdf8c709ddaebd693335213fdca832"),
     ])
     def test_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
         got, out, err = run(capsys, cmd, "-", stdin=pinned_stream(),
@@ -264,9 +257,9 @@ class TestPerGraphBytes:
     # The same over dense_stream(), where most lines are non-members with a
     # witness to find and omega runs up to 14.
     @pytest.mark.parametrize("cmd, code, digest", [
-        ("check", 2, "06ff1eaf4f59b8df2355e35f37e9a67dfa6ce66046cfe9a3f28244b8ece23dc1"),
+        ("check", 2, "d41b9b18d294b9ab93f279ad7432c8cea1eb95028f34110b210726e4d22c4052"),
         ("invariants", 0, "124edcfcb257ef080f14941668cf2ec65f8952f0618a76611af97a8e341dcbde"),
-        ("decompose", 1, "704c34b105bfeb9d3aba55ae20c4d9da4979e905a60a124e47ed92891ac930ce"),
+        ("decompose", 1, "991346ee0842af107937b684cfcc24402d989451dfeab02cd7f3383dece7a1ac"),
     ])
     def test_dense_stream_bytes_pinned(self, capsys, monkeypatch, cmd, code, digest):
         got, out, err = run(capsys, cmd, "-", stdin=dense_stream(),
@@ -318,7 +311,8 @@ class TestPerGraphBytes:
                             monkeypatch=monkeypatch)
         assert got == 2
         assert hashlib.sha256(out.encode()).hexdigest() == \
-            "d4d0912a78a85806265adfca37355e3ca41a8d6e6f82af82868f395fa2f87ccc"
+            "d859e794560563262e5e0b6c2b15de9a40096f170ff0b64c1c01aaea59d75a4e"
+        certify(capsys, monkeypatch, "check", bound_stream, out)
 
     # Above the exact engine's limit only chi_via_matching gives chi.
     def test_large_stream_invariants_pinned(self, capsys, monkeypatch):

@@ -5,11 +5,11 @@ from chibound.constructions import (EXTREMAL_GRAPH6, ConstructionError, cycle,
                                     extremal_omega5, extremal_witnesses,
                                     ramsey_13, wheel6)
 from chibound.graphs import (complete_graph, induced_subgraph, parse_graph6,
-                             serialize_graph6)
+                             serialize_graph6, triangle_free_complement_rows)
 from chibound.invariants import (bound_f, chi_via_matching, chromatic_exact,
                                  clique_number)
 from chibound.patterns import (check_membership, complement_oracle_check,
-                               find_3K1, is_class_member)
+                               is_class_member)
 
 # Locked after the first verified construction (degree, omega, chi and
 # membership all re-checked below and in the acceptance suite).
@@ -121,7 +121,7 @@ class TestRamsey13:
 
     def test_outside_the_class_above_the_bound(self):
         g = ramsey_13()
-        assert find_3K1(g) is None
+        assert triangle_free_complement_rows(g) is not None
         w = check_membership(g)
         assert (w.kind, w.vertices) == ("TwoK1JoinK2K1", (0, 1, 3, 4, 11))
         assert w.roles == (0, 1, 4, 11, 3)  # u1, u2, a, b, c

@@ -8,7 +8,7 @@ from chibound.graphs import (Graph, GraphFormatError, bits, complement,
                              complete_graph, connected_components,
                              disjoint_union, empty_graph, from_edges,
                              induced_subgraph, is_connected, join, parse_dimacs,
-                             parse_graph6, relabel, serialize_graph6,
+                             parse_graph6, serialize_graph6,
                              triangle_free_complement_rows)
 from chibound import graphs
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from chibound.corpus import iter_all_graphs
 from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
-                             induced_subgraph, join, parse_graph6)
+                             induced_subgraph, join, parse_graph6,
+                             triangle_free_complement_rows)
 from chibound.invariants import (ExactLimitError, IndependentTripleError,
                                  bound_f, chi_via_matching, chromatic_exact,
                                  clique_number, compute_invariants, max_clique,
@@ -286,8 +287,7 @@ class TestChiViaMatching:
     @given(st.integers(1, 7), st.randoms(use_true_random=False))
     def test_matches_exact_engine(self, n, rng):
         g = random_graph(n, 0.75, rng)
-        from chibound.patterns import find_3K1
-        if find_3K1(g) is not None:
+        if triangle_free_complement_rows(g) is None:
             return
         chi, coloring = chi_via_matching(g)
         assert chi == chromatic_exact(g)[0]
@@ -350,11 +350,11 @@ class TestReports:
     def test_auto_engine_is_matching_iff_no_triple(self):
         # "auto" tries the matching engine first and falls back to the exact
         # one on its IndependentTripleError: the same report as choosing by
-        # find_3K1 beforehand.
-        from chibound.patterns import find_3K1
+        # whether the complement is triangle-free beforehand.
         for n in range(7):
             for g in iter_all_graphs(n):
-                engine = "matching" if find_3K1(g) is None else "exact"
+                rows = triangle_free_complement_rows(g)
+                engine = "matching" if rows is not None else "exact"
                 assert compute_invariants(g) == compute_invariants(g, engine=engine)
 
     def test_auto_engine_calls(self, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -5,68 +6,75 @@ from hypothesis import given, settings, strategies as st
 
 from chibound.graphs import (complete_graph, empty_graph, from_edges,
                              induced_subgraph, join, parse_graph6, relabel,
-                             serialize_graph6)
+                             serialize_graph6, triangle_free_complement_rows)
 from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
-                               check_membership,
-                               complement_oracle_check, find_3K1,
-                               find_forbidden_5pattern, is_class_member,
-                               witness_is_valid)
+                               check_membership, complement_oracle_check,
+                               is_class_member, witness_is_valid)
 from chibound.constructions import cycle
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs
 from oracles import (bf_first_5pattern_roles, bf_has_5pattern,
                      bf_independent_triple, complement_oracle_of_graph,
                      complement_oracle_rows_first, first_5pattern_edge_first,
-                     first_pair_scan_stop, is_class_member_closed_list,
-                     petersen, random_graph, triangle_free_complement)
-from streams import witness_stream
+                     first_exclusion_witness, first_pair_scan_stop,
+                     is_class_member_closed_list, petersen, random_graph,
+                     triangle_free_complement)
+from streams import (backtrack_stream, bound_stream, dense_stream,
+                     large_stream, pinned_stream, witness_stream)
 
 
 def pattern_graph():
     return join(empty_graph(2), from_edges(3, [(0, 1)]))
 
 
+def excluded_by_brute_force(g) -> bool:
+    return bf_independent_triple(g) is not None or bf_has_5pattern(g)
+
+
 class TestFind3K1:
+    """The 3K1 witnesses of check_membership."""
+
     def test_triangle(self):
-        assert find_3K1(complete_graph(3)) is None
+        assert check_membership(complete_graph(3)) is None
 
     def test_c6_alternating(self):
-        w = find_3K1(cycle(6))
-        assert w == PatternWitness(THREE_K1, (0, 2, 4))
+        # The pair (0, 2) stops the scan at its common non-neighbour 4.
+        assert check_membership(cycle(6)) == PatternWitness(THREE_K1, (0, 2, 4))
 
     def test_petersen(self):
         g = petersen()
-        w = find_3K1(g)
-        assert w is not None
-        assert witness_is_valid(g, w)
+        w = check_membership(g)
+        assert w.kind == THREE_K1 and witness_is_valid(g, w)
         assert bf_independent_triple(g) is not None
+
+    def test_triple_at_a_common_neighbour(self):
+        # The pair (0, 1) has no common non-neighbour; its common neighbour
+        # 2 misses 3 and 4, which are not adjacent either.
+        assert check_membership(join(empty_graph(2), empty_graph(3))) == \
+            PatternWitness(THREE_K1, (2, 3, 4))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9), st.randoms(use_true_random=False))
     def test_agrees_with_brute_force(self, n, rng):
         g = random_graph(n, 0.55, rng)
-        fast = find_3K1(g)
-        brute = bf_independent_triple(g)
-        assert (fast is None) == (brute is None)
-        if fast is not None:
-            assert fast.vertices == brute  # both lexicographically smallest
-            assert witness_is_valid(g, fast)
+        w = check_membership(g)
+        assert (w is not None) == excluded_by_brute_force(g)
+        if w is not None:
+            assert witness_is_valid(g, w)
 
 
 class TestFind5Pattern:
+    """The 5-pattern witnesses of check_membership."""
+
     def test_pattern_itself(self):
-        g = pattern_graph()
-        w = find_forbidden_5pattern(g)
-        assert w is not None
-        assert w.vertices == (0, 1, 2, 3, 4)
-        assert w.kind == TWO_K1_JOIN_K2_K1
-        assert witness_is_valid(g, w)
+        assert check_membership(pattern_graph()) == PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
 
     def test_c5_absent(self):
-        assert find_forbidden_5pattern(cycle(5)) is None
+        assert check_membership(cycle(5)) is None
 
     def test_wheel_absent_brute_force(self):
         w6 = join(complete_graph(1), cycle(5))
-        assert find_forbidden_5pattern(w6) is None
+        assert check_membership(w6) is None
         assert not bf_has_5pattern(w6)
 
     def test_join_of_pentagons_contains_pattern(self):
@@ -74,63 +82,109 @@ class TestFind5Pattern:
         # (independent pair from one factor, edge plus far vertex from the
         # other), so this graph is outside the class.
         g = join(cycle(5), cycle(5))
-        w = find_forbidden_5pattern(g)
-        assert w is not None
-        assert witness_is_valid(g, w)
+        w = check_membership(g)
+        assert w.kind == TWO_K1_JOIN_K2_K1 and witness_is_valid(g, w)
         assert bf_has_5pattern(g)
+
+    def test_graph_with_a_3K1_named_by_a_5_pattern(self):
+        # The scan stops at the pair (0, 1), whose common neighbour 4 misses
+        # the edge 23, before any pair with a common non-neighbour: the
+        # lexicographically smallest triple is (2, 4, 5).
+        g = parse_graph6("E^q?")
+        assert bf_independent_triple(g) == (2, 4, 5)
+        assert first_pair_scan_stop(g) == (0, 1, 4)
+        assert check_membership(g) == PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(5, 8), st.randoms(use_true_random=False))
     def test_agrees_with_brute_force(self, n, rng):
         g = random_graph(n, 0.6, rng)
-        w = find_forbidden_5pattern(g)
-        assert (w is not None) == bf_has_5pattern(g)
+        w = check_membership(g)
+        assert (w is not None) == excluded_by_brute_force(g)
         if w is not None:
             assert witness_is_valid(g, w)
 
 
 def same_witness_as_reference(g) -> bool:
-    """The witness's roles come first under the scan key of every role
-    tuple the edge-first reference enumerates."""
-    w = find_forbidden_5pattern(g)
-    return (w.roles if w is not None else None) == first_5pattern_edge_first(g)
+    """check_membership names the witness where the naive pair scan stopped
+    (kind, vertices and roles), and the witness re-checks."""
+    w = check_membership(g)
+    return w == first_exclusion_witness(g) and (w is None or witness_is_valid(g, w))
+
+
+def roles(w):
+    return w.roles if w is not None else None
 
 
 class TestRolesAgainstReference:
     def test_every_graph_up_to_6(self):
+        # The stops at a common non-neighbour, and the 5-patterns and the
+        # 3K1s named at a common neighbour c.
+        shapes = collections.Counter()
         for n in range(7):
             for g in iter_all_graphs(n):
-                assert same_witness_as_reference(g)
+                assert same_witness_as_reference(g), serialize_graph6(g)
+                w = check_membership(g)
+                assert (w is None) == complement_oracle_check(g)
+                if w is not None:
+                    shapes[first_pair_scan_stop(g)[2] < 0, w.kind] += 1
+        assert shapes == {(True, THREE_K1): 26762,
+                          (False, TWO_K1_JOIN_K2_K1): 2097,
+                          (False, THREE_K1): 445}
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(5, 16), st.floats(0.2, 0.95),
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16), st.floats(0.2, 0.95),
            st.randoms(use_true_random=False))
     def test_random_graphs(self, n, p, rng):
         assert same_witness_as_reference(random_graph(n, p, rng))
 
+    def test_every_stream_line(self):
+        lines = [line for stream in (pinned_stream, dense_stream, witness_stream,
+                                     backtrack_stream, large_stream, bound_stream)
+                 for line in stream().split()]
+        assert len(lines) == 475
+        for line in lines:
+            assert same_witness_as_reference(parse_graph6(line)), line
+
+    # Without a 3K1 any two vertices that c misses are adjacent, so the
+    # witness is always the 5-pattern: the first under the scan key
+    # (u1, u2, c, a, b) of every 5-pattern the graph holds.
+
     def test_sampler_candidates(self):
         # No 3K1, many 5-patterns: n from 8 to 16, where 46 of the 90 are
-        # rejects (none below n = 10), the non-members whose witness
-        # check_membership searches for most.
+        # rejects (none below n = 10).
         rejects = 0
         for seed in range(90):
             g = triangle_free_complement(8 + seed % 9, random.Random(seed))
-            assert same_witness_as_reference(g), seed
+            assert roles(check_membership(g)) == first_5pattern_edge_first(g), seed
             rejects += not is_class_member(g)
         assert rejects == 46
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(5, 9), st.floats(0.3, 0.9),
-           st.randoms(use_true_random=False))
-    def test_witness_is_brute_force_minimum(self, n, p, rng):
-        g = random_graph(n, p, rng)
-        w = find_forbidden_5pattern(g)
-        assert (w.roles if w is not None else None) == bf_first_5pattern_roles(g)
+    def test_3K1_free_graphs_up_to_6(self):
+        # 1,665 of the 6,229 labeled 3K1-free graphs on 0..6 vertices are
+        # excluded.
+        graphs = rejects = 0
+        for n in range(7):
+            for g in iter_all_graphs(n):
+                if triangle_free_complement_rows(g) is None:
+                    continue
+                w = check_membership(g)
+                assert roles(w) == bf_first_5pattern_roles(g), serialize_graph6(g)
+                graphs += 1
+                rejects += w is not None
+        assert (graphs, rejects) == (6229, 1665)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 9), st.randoms(use_true_random=False))
+    def test_witness_is_brute_force_minimum(self, n, rng):
+        g = triangle_free_complement(n, rng)
+        assert roles(check_membership(g)) == bf_first_5pattern_roles(g)
 
     def test_witness_sits_where_the_decider_stopped(self):
-        # No 3K1 in either group, so the pair scan of is_class_member stops
-        # at the first pair and c where c misses two common neighbours, and
-        # the 5-pattern check_membership names sits at that pair and c.
+        # No 3K1 in either group, so the pair scan stops at the first pair
+        # and c where c misses two common neighbours, and the 5-pattern
+        # check_membership names sits at that pair and c.
         graphs = [triangle_free_complement(8 + seed % 9, random.Random(seed))
                   for seed in range(90)]
         graphs += [parse_graph6(line) for line in witness_stream().split()]
@@ -275,8 +329,7 @@ class TestMembership:
 
         def forbidden(g):
             raise AssertionError("the complement oracle called a direct decider")
-        for name in ("is_class_member", "find_3K1", "check_membership",
-                     "find_forbidden_5pattern"):
+        for name in ("is_class_member", "check_membership", "_pair_scan_stop"):
             monkeypatch.setattr(pat, name, forbidden)
         verdicts = [pat.complement_oracle_check(g) for g in iter_all_graphs(5)]
         assert verdicts.count(True) == 358
