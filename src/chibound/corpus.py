@@ -18,6 +18,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import islice
+from operator import xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _row_tables, is_connected, serialize_graph6,
@@ -50,7 +51,8 @@ def _check_sample_size(n: int, count: int, seed: int) -> None:
 
 # (n, a copy of pairs, their row tables, eight pairs a table) of the last
 # call: a caller may edit its list in place, so every call compares its
-# pairs with the copy.
+# pairs with the copy, unless they are the copy itself (a tuple is its own
+# copy: iter_all_graphs passes the cached upper_pairs(n)).
 _edge_memo: tuple = (None, (), None)
 
 
@@ -59,7 +61,7 @@ def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) ->
     bits i of mask."""
     global _edge_memo
     memo_n, memo_pairs, decoder = _edge_memo
-    if n != memo_n or pairs != memo_pairs:
+    if n != memo_n or (pairs is not memo_pairs and pairs != memo_pairs):
         decoder = _row_tables(n, pairs, 8)
         _edge_memo = (n, pairs[:], decoder)
     if not 0 <= mask < 1 << len(pairs):
@@ -104,6 +106,9 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     # so the same stream as rng.shuffle(pairs) for a seed.
     swaps = [(i, (i + 1).bit_length()) for i in range(len(base_pairs) - 1, 0, -1)]
     full = (1 << n) - 1
+    rows = [full ^ 1 << v for v in range(n)]  # K_n's rows
+    bit = [1 << v for v in range(n)]
+    zeros = [0] * n
     emitted = 0
     attempts = 0
     window_accepts = 0
@@ -114,12 +119,15 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
             while j > i:
                 j = getrandbits(width)
             pairs[i], pairs[j] = pairs[j], pairs[i]
-        comp = [0] * n
+        comp = zeros[:]
         for u, v in pairs:
-            if not comp[u] & comp[v]:  # no common neighbor: stays triangle-free
-                comp[u] |= 1 << v
-                comp[v] |= 1 << u
-        g = Graph(n, tuple([(full ^ 1 << v) & ~c for v, c in enumerate(comp)]))
+            if comp[u] & comp[v]:  # a common neighbor: uv would close a triangle
+                continue
+            comp[u] |= bit[v]
+            comp[v] |= bit[u]
+        # comp[v] lies inside rows[v], so the XOR clears it: the complement.
+        # (tuple() sizes its result from a list, but grows and trims it from a map.)
+        g = Graph(n, tuple(list(map(xor, rows, comp))))
         attempts += 1
         if is_class_member(g):
             emitted += 1

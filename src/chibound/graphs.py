@@ -72,6 +72,11 @@ class Graph:
         _set_n(self, n)
         _set_adj(self, adj)
 
+    def __reduce__(self):
+        # One constructor call per graph for pickle, copy and deepcopy, in
+        # place of the slotted dataclass's __getstate__/__setstate__ pair.
+        return Graph, (self.n, self.adj)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -235,7 +240,10 @@ def is_connected(g: Graph) -> bool:
 # The body is the upper triangle's bits in the order of upper_pairs, six to
 # a byte 63 + group, highest bit first, zero-padded in the last byte's low
 # bits.  The serializer ORs each row's bits below v into one integer,
-# ``upper`` (bit i is pair i), and writes it in 6-bit groups.
+# ``upper`` (bit i is pair i), and reads each 6-bit group off it as
+# ``upper >> i & 63``, the group's first pair in bit 0, through the 64-entry
+# table of graph6 characters keyed that way; the zeros above the last pair
+# pad the last group.
 #
 # The parser reads graphs on n <= 32 vertices through the row tables of
 # upper_pairs(n), six pairs a table: one translate puts each body byte's
@@ -248,9 +256,10 @@ def is_connected(g: Graph) -> bool:
 # its leading blanks and header included.
 
 _SIX_BITS = tuple(format(k, "06b") for k in range(64))  # byte - 63 -> its bits
-_SIX_BYTE = {six: chr(63 + k) for k, six in enumerate(_SIX_BITS)}  # and back
 # byte -> its group with the byte's first pair in bit 0, for bytes.translate
 _FIRST_PAIR_LOW = bytes(63) + bytes([int(six[::-1], 2) for six in _SIX_BITS]) + bytes(129)
+# and back: a group with its first pair in bit 0 -> its graph6 character
+_GROUP_CHAR = tuple(chr(63 + int(six[::-1], 2)) for six in _SIX_BITS)
 _NOT_GRAPH6 = re.compile("[^?-~]")  # outside bytes 63..126
 _TABLE_MAX_N = 32
 
@@ -355,9 +364,7 @@ def serialize_graph6(g: Graph) -> str:
     for v, a in enumerate(g.adj):
         upper |= (a & ((1 << v) - 1)) << nbits
         nbits += v
-    width = (nbits + 5) // 6 * 6
-    body = format(upper, f"0{width}b")[::-1]  # zeros above nbits pad the last group
-    return head + "".join([_SIX_BYTE[body[i:i + 6]] for i in range(0, width, 6)])
+    return head + "".join([_GROUP_CHAR[upper >> i & 63] for i in range(0, nbits, 6)])
 
 
 # ---------------------------------------------------------------------------

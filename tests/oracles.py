@@ -112,6 +112,27 @@ def serialize_graph6_bitwise(g: Graph) -> str:
     return bytes(head + out).decode("ascii")
 
 
+_SIX_BYTE = {format(k, "06b"): chr(63 + k) for k in range(64)}  # bits -> byte
+
+
+def serialize_graph6_sliced(g: Graph) -> str:
+    """Reference for ``graphs.serialize_graph6``, its body before the group
+    table: ``upper`` formatted as a binary string, reversed so that pair 0
+    comes first, and sliced into 6-character groups looked up as bytes."""
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    upper = nbits = 0
+    for v, a in enumerate(g.adj):
+        upper |= (a & ((1 << v) - 1)) << nbits
+        nbits += v
+    width = (nbits + 5) // 6 * 6
+    body = format(upper, f"0{width}b")[::-1]  # zeros above nbits pad the last group
+    return head + "".join([_SIX_BYTE[body[i:i + 6]] for i in range(0, width, 6)])
+
+
 def graph_from_pair_mask(n: int, mask: int, pairs) -> Graph:
     """The graph with the edges pairs[i] for the set bits i of mask."""
     return from_edges(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])

@@ -112,8 +112,11 @@ class TestGraphFromEdgeMask:
         monkeypatch.setattr(corpus, "_row_tables",
                             lambda n, pairs, width: built.append(n) or real(n, pairs, width))
         graph_from_edge_mask(4, 0, pair_list(4))
+        # Enumeration passes the cached upper_pairs(5), which the memo keeps
+        # as its own copy, so it is matched by identity on every graph.
         for _ in range(2):
             assert sum(1 for _ in iter_all_graphs(5)) == 1024
+        assert corpus._edge_memo[1] is upper_pairs(5)
         graph_from_edge_mask(5, 7, tuple(pair_list(5)))  # equal, a fresh tuple
         assert built == [4, 5]
         # A list never equals a tuple, so the first list builds them again;

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -15,7 +16,7 @@ from chibound.corpus import graph_from_edge_mask, iter_all_graphs, sample_class
 from oracles import (bf_independent_triple, bits_generator,
                      components_by_vertex_scan, parse_graph6_bitwise,
                      random_graph, serialize_graph6_bitwise,
-                     triangle_free_complement)
+                     serialize_graph6_sliced, triangle_free_complement)
 
 import random
 
@@ -219,12 +220,13 @@ class TestGraph6:
 
 
 class TestSerializeGraph6:
-    """The serializer gives the bit-at-a-time reference's string, and the
-    parser reads that string back as the same graph."""
+    """The serializer gives the strings of the bit-at-a-time reference and
+    of the sliced binary-string body it replaced, and the parser reads that
+    string back as the same graph."""
 
     def _agrees(self, g):
         line = serialize_graph6(g)
-        assert line == serialize_graph6_bitwise(g), line
+        assert line == serialize_graph6_bitwise(g) == serialize_graph6_sliced(g), line
         assert parse_graph6(line) == g, line
 
     def test_every_graph_up_to_6_vertices(self):
@@ -241,6 +243,11 @@ class TestSerializeGraph6:
             self._agrees(complete_graph(n))
             for _ in range(20):
                 self._agrees(random_graph(n, rng.random(), rng))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 64), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_hypothesis_graphs_up_to_64_vertices(self, n, p, seed):
+        self._agrees(random_graph(n, p, random.Random(seed)))
 
 
 def _parse_outcome(parse, text):
@@ -321,11 +328,16 @@ class TestGraphValue:
 
     @pytest.mark.parametrize("how, g", built_graphs())
     def test_pickle_round_trip(self, how, g):
-        # Pool workers receive and return graphs this way.
-        back = pickle.loads(pickle.dumps(g))
-        assert type(back) is Graph and back == g and hash(back) == hash(g)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            back.n = 3
+        # Pool workers receive and return graphs this way, at the default
+        # protocol; copy and deepcopy take the same __reduce__ path.
+        assert g.__reduce__() == (Graph, (g.n, g.adj))
+        backs = [pickle.loads(pickle.dumps(g, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in backs + [copy.copy(g), copy.deepcopy(g)]:
+            assert type(back) is Graph and back == g and hash(back) == hash(g)
+            assert not hasattr(back, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                back.n = 3
 
 
 class TestCombinators:

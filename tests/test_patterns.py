@@ -291,12 +291,11 @@ class TestMembership:
         assert check_membership(complete_graph(n)) is None
 
     def test_c6_excluded_with_triple(self):
-        w = check_membership(cycle(6))
-        assert w is not None and w.kind == THREE_K1
+        assert check_membership(cycle(6)) == PatternWitness(THREE_K1, (0, 2, 4))
 
     def test_pattern_graph_excluded(self):
-        w = check_membership(pattern_graph())
-        assert w is not None and w.kind == TWO_K1_JOIN_K2_K1
+        assert check_membership(pattern_graph()) == PatternWitness(
+            TWO_K1_JOIN_K2_K1, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
 
     def test_oracle_exhaustive_small(self):
         for n in range(0, 7):
