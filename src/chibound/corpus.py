@@ -1,12 +1,12 @@
 """Population generation and verification campaigns.
 
 Populations are exhaustive labeled enumerations (n <= 7), seeded samples
-(8 <= n <= 14, triangle-free complements filtered by the full membership
-test), or explicit graph lists.  ``run_verification`` maps the requested
-checks over a population and reduces to a CorpusReport whose violation
-list the theorems predict to be empty.  The reduction is deterministic:
-chunk results are merged in stream order, so worker count never changes a
-reported value.
+(8 <= n <= 14, complements of maximal triangle-free graphs, kept when the
+grown graph has no induced K2 + P3), or explicit graph lists.
+``run_verification`` maps the requested checks over a population and
+reduces to a CorpusReport whose violation list the theorems predict to be
+empty.  The reduction is deterministic: chunk results are merged in stream
+order, so worker count never changes a reported value.
 """
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from .graphs import (Graph, _row_tables, is_connected, serialize_graph6,
                      upper_pairs)
 from .invariants import (DEFAULT_EXACT_LIMIT, bound_f, chi_via_matching,
                          chromatic_exact, clique_number)
-from .patterns import complement_oracle_check, is_class_member
+from .patterns import (_has_induced_k2_p3, complement_oracle_check,
+                       is_class_member)
 from .structure import (FAILS, HOLDS, PROPERTY_NAMES, VACUOUS,
                         all_partitioning_pairs, check_lemma1, decompose)
 
@@ -94,10 +95,13 @@ def enumerate_class(n: int) -> Iterator[Graph]:
 def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
     """Seeded stream of class members on n vertices.
 
-    Candidates are complements of greedily grown random triangle-free
-    graphs (so they never contain an independent triple), then
-    rejection-filtered on the full membership test.  Deterministic per
-    seed; gives up if the sustained rejection rate exceeds 99.9%.
+    Candidates are complements of greedily grown random maximal
+    triangle-free graphs H, so they never contain an independent triple,
+    and a candidate is a member exactly when H has no induced K2 + P3 (the
+    5-pattern's complement).  The complement oracle's search decides that on
+    H's rows, and only a kept candidate is built as a Graph; a campaign
+    decides it again with is_class_member.  Deterministic per seed; gives
+    up if the sustained rejection rate exceeds 99.9%.
     """
     _check_sample_size(n, count, seed)
     getrandbits = random.Random(seed).getrandbits
@@ -125,14 +129,13 @@ def sample_class(n: int, count: int, seed: int) -> Iterator[Graph]:
                 continue
             comp[u] |= bit[v]
             comp[v] |= bit[u]
-        # comp[v] lies inside rows[v], so the XOR clears it: the complement.
-        # (tuple() sizes its result from a list, but grows and trims it from a map.)
-        g = Graph(n, tuple(list(map(xor, rows, comp))))
         attempts += 1
-        if is_class_member(g):
+        if not _has_induced_k2_p3(comp, full):
             emitted += 1
             window_accepts += 1
-            yield g
+            # comp[v] lies inside rows[v], so the XOR clears it: the complement.
+            # (tuple() sizes its result from a list, but grows and trims it from a map.)
+            yield Graph(n, tuple(list(map(xor, rows, comp))))
         if attempts % GIVE_UP_WINDOW == 0:
             if window_accepts / GIVE_UP_WINDOW < GIVE_UP_RATE:
                 raise RuntimeError(

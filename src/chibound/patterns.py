@@ -8,7 +8,7 @@ neither.  There are three routes to a verdict:
 - ``is_class_member`` runs the one pair scan, ``_pair_scan_stop``: for each
   non-adjacent pair, a common non-neighbour, then the vertices of their
   common neighbourhood that each of its members misses; it builds no
-  witness and is the fast path that campaigns and the sampler call;
+  witness and is the fast path that campaigns call;
 - ``check_membership`` (the CLI's ``check`` and ``structure.decompose``
   call it) runs the same scan and names a non-member by the witness where
   the scan stopped: the pair and its common non-neighbour, or the pair, the
@@ -18,7 +18,9 @@ neither.  There are three routes to a verdict:
   rows of a triangle-free complement from
   ``graphs.triangle_free_complement_rows`` (the builder
   ``invariants.chi_via_matching`` also uses) and searches them for an
-  induced edge-plus-path.
+  induced edge-plus-path with ``_has_induced_k2_p3``.  The sampler
+  (``corpus.sample_class``) runs that search on the triangle-free graph it
+  grew, whose complement is its 3K1-free candidate.
 """
 from __future__ import annotations
 
@@ -120,7 +122,7 @@ def _pair_scan_stop(g: Graph) -> Optional[tuple[int, int, int]]:
 
 def is_class_member(g: Graph) -> bool:
     """Membership verdict from the one pair scan; no witness is built.
-    Campaigns and the sampler call it."""
+    Campaigns call it on every graph."""
     return _pair_scan_stop(g) is None
 
 
@@ -164,13 +166,21 @@ def _has_induced_k2_p3(h: list[int], full: int) -> bool:
 
     Only called on triangle-free graphs, where every 2-edge path is induced:
     so for each edge xy it is enough to find, among the vertices adjacent
-    to neither x nor y, one with two neighbours there.
+    to neither x nor y, one with two neighbours there.  Each set is walked
+    lowest bit first, as in ``_pair_scan_stop``.  The complement oracle
+    and the sampler call it.
     """
     for x, hx in enumerate(h):
-        for y in bits(hx >> x << x):
-            allowed = full & ~(hx | h[y])  # hx holds y and h[y] holds x
-            for q in bits(allowed):
-                pair = h[q] & allowed
+        later = hx >> x << x  # the neighbours y > x
+        while later:
+            low = later & -later
+            later ^= low
+            allowed = full & ~(hx | h[low.bit_length() - 1])  # hx holds y, h[y] x
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                pair = h[low.bit_length() - 1] & allowed
                 if pair & (pair - 1):
                     return True
     return False

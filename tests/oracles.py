@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from chibound.graphs import (MAX_VERTICES, Graph, GraphFormatError, complement,
-                             from_edges)
+from chibound.graphs import (MAX_VERTICES, Graph, GraphFormatError, bits,
+                             complement, from_edges)
 from chibound.invariants import bound_f
 from chibound.patterns import THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness
 
@@ -463,6 +463,20 @@ def complement_oracle_rows_first(g: Graph) -> bool:
                 if pair & (pair - 1):
                     return False
     return True
+
+
+def has_induced_k2_p3_bits(h: list[int], full: int) -> bool:
+    """Reference for ``patterns._has_induced_k2_p3``: the same search over
+    the edges xy of the triangle-free rows h and the vertices adjacent to
+    neither, each set read through ``graphs.bits``."""
+    for x, hx in enumerate(h):
+        for y in bits(hx >> x << x):
+            allowed = full & ~(hx | h[y])  # hx holds y and h[y] holds x
+            for q in bits(allowed):
+                pair = h[q] & allowed
+                if pair & (pair - 1):
+                    return True
+    return False
 
 
 def dsatur_greedy_max_keyed(g: Graph, clique: int = 0) -> list[int]:

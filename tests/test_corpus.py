@@ -226,7 +226,7 @@ class TestSample:
 
     def test_gives_up_on_a_rejecting_window(self, monkeypatch):
         monkeypatch.setattr(corpus, "GIVE_UP_WINDOW", 10)
-        monkeypatch.setattr(corpus, "is_class_member", lambda g: False)
+        monkeypatch.setattr(corpus, "_has_induced_k2_p3", lambda h, full: True)
         with pytest.raises(RuntimeError) as exc:
             list(sample_class(8, 5, 1))
         assert str(exc.value) == ("sampler giving up at n=8: 0 acceptances in "
@@ -474,6 +474,15 @@ class TestTracedGlobals:
         assert (report.graphs, report.members) == (64, 41)
         assert calls == {"graph_from_edge_mask": 64, "is_class_member": 64,
                          "complement_oracle_check": 64}
+
+    def test_sampled_graphs_are_decided_twice(self, monkeypatch):
+        # The sampler keeps a candidate on the complement search of the rows
+        # it grew, then _run_chunk decides each kept graph with the direct
+        # pair scan: two independent deciders accept every sampled member.
+        calls = self.count_calls(monkeypatch, ("_has_induced_k2_p3", "is_class_member"))
+        report = run_verification(sample_population(10, 300, 1), checks=("bound",))
+        assert (report.graphs, report.members) == (300, 300)
+        assert calls["is_class_member"] == 300 < calls["_has_induced_k2_p3"]
 
     def test_every_member_reaches_the_patched_globals(self, monkeypatch):
         # One call per member, or per partitioning pair, and the exact engine

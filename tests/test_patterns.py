@@ -4,20 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibound.graphs import (complete_graph, empty_graph, from_edges,
-                             induced_subgraph, join, parse_graph6, relabel,
-                             serialize_graph6, triangle_free_complement_rows)
+from chibound.graphs import (complement, complete_graph, empty_graph,
+                             from_edges, induced_subgraph, join, parse_graph6,
+                             relabel, serialize_graph6,
+                             triangle_free_complement_rows)
 from chibound.patterns import (THREE_K1, TWO_K1_JOIN_K2_K1, PatternWitness,
-                               check_membership, complement_oracle_check,
-                               is_class_member, witness_is_valid)
+                               _has_induced_k2_p3, check_membership,
+                               complement_oracle_check, is_class_member,
+                               witness_is_valid)
 from chibound.constructions import cycle
 from chibound.corpus import graph_from_edge_mask, iter_all_graphs
 from oracles import (bf_first_5pattern_roles, bf_has_5pattern,
                      bf_independent_triple, complement_oracle_of_graph,
                      complement_oracle_rows_first, first_5pattern_edge_first,
                      first_exclusion_witness, first_pair_scan_stop,
-                     is_class_member_closed_list, petersen, random_graph,
-                     triangle_free_complement)
+                     has_induced_k2_p3_bits, is_class_member_closed_list,
+                     petersen, random_graph, triangle_free_complement)
 from streams import (backtrack_stream, bound_stream, dense_stream,
                      large_stream, pinned_stream, witness_stream)
 
@@ -241,6 +243,65 @@ class TestDecidersAgainstReferences:
         assert all(v == {False, True} for n, v in verdicts.items() if n > 8)
 
 
+def random_triangle_free_rows(n: int, p: float, rng: random.Random) -> list[int]:
+    """Rows of a triangle-free graph: the pairs in random order, each kept
+    with probability p when its ends have no common neighbour yet."""
+    h = [0] * n
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if rng.random() < p and not h[u] & h[v]:
+            h[u] |= 1 << v
+            h[v] |= 1 << u
+    return h
+
+
+class TestK2P3Search:
+    """_has_induced_k2_p3, which the complement oracle and the sampler
+    share, against the version it replaced."""
+
+    def test_every_triangle_free_graph_up_to_6(self):
+        # The triangle-free complements of all labeled graphs are all the
+        # labeled triangle-free graphs; 1,665 of the 6,229 hold a K2 + P3,
+        # as many as there are 3K1-free non-members.
+        graphs = found = 0
+        for n in range(7):
+            full = (1 << n) - 1
+            for g in iter_all_graphs(n):
+                h = triangle_free_complement_rows(g)
+                if h is None:
+                    continue
+                got = _has_induced_k2_p3(h, full)
+                assert got == has_induced_k2_p3_bits(h, full), serialize_graph6(g)
+                graphs += 1
+                found += got
+        assert (graphs, found) == (6229, 1665)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 16), st.floats(0.2, 1.0), st.randoms(use_true_random=False))
+    def test_random_triangle_free_graphs(self, n, p, rng):
+        h = random_triangle_free_rows(n, p, rng)
+        full = (1 << n) - 1
+        assert _has_induced_k2_p3(h, full) == has_induced_k2_p3_bits(h, full)
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_sampler_candidates(self, n):
+        # The sampler's filter: a candidate is the complement of the rows it
+        # grew, and it is a member exactly when they hold no K2 + P3.  At
+        # n = 8 every candidate is a member; above it, both verdicts occur.
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        members = 0
+        for _ in range(500):
+            g = triangle_free_complement(n, rng)
+            h = list(complement(g).adj)
+            got = _has_induced_k2_p3(h, full)
+            assert got == has_induced_k2_p3_bits(h, full), serialize_graph6(g)
+            assert (not got) == is_class_member(g), serialize_graph6(g)
+            members += not got
+        assert members == 500 if n == 8 else 0 < members < 500
+
+
 # pattern_graph()'s edges: u1 = 0 and u2 = 1 joined to the edge ab = 23 and to c = 4.
 PATTERN_EDGES = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]
 
@@ -334,7 +395,6 @@ class TestMembership:
         assert verdicts.count(True) == 358
 
     def test_complement_of_c5_is_member(self):
-        from chibound.graphs import complement
         assert complement_oracle_check(cycle(5))
         assert is_class_member(complement(cycle(5)))
 
