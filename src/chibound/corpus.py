@@ -50,8 +50,8 @@ def _check_sample_size(n: int, count: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-# (n, a copy of pairs, their row tables, eight pairs a table) of the last
-# call: a caller may edit its list in place, so every call compares its
+# (n, a copy of pairs, the width-8 row tables of upper_pairs(n)) of the
+# last call: a caller may edit its list in place, so every call compares its
 # pairs with the copy, unless they are the copy itself (a tuple is its own
 # copy: iter_all_graphs passes the cached upper_pairs(n)).
 _edge_memo: tuple = (None, (), None)
@@ -59,11 +59,14 @@ _edge_memo: tuple = (None, (), None)
 
 def graph_from_edge_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
     """The graph on n <= 32 vertices with the edges pairs[i] for the set
-    bits i of mask."""
+    bits i of mask.  Raises ValueError unless pairs lists upper_pairs(n),
+    the graph6 order."""
     global _edge_memo
     memo_n, memo_pairs, decoder = _edge_memo
     if n != memo_n or (pairs is not memo_pairs and pairs != memo_pairs):
-        decoder = _row_tables(n, pairs, 8)
+        if tuple(pairs) != upper_pairs(n):
+            raise ValueError(f"edge mask pairs must be upper_pairs({n}), the graph6 order")
+        decoder = _row_tables(n, 8)
         _edge_memo = (n, pairs[:], decoder)
     if not 0 <= mask < 1 << len(pairs):
         raise ValueError(f"edge mask {mask} outside [0, 2**{len(pairs)})")

@@ -10,7 +10,7 @@ import functools
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 MAX_VERTICES = 64
 _BLANKS = " \t\r\n"  # the only characters graph6 and DIMACS input treat as blank
@@ -271,19 +271,17 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def _row_tables(n: int, pairs: Sequence[tuple[int, int]], width: int) -> tuple:
-    """The row tables of pairs on n <= 32 vertices, the struct unpack of the
-    packed rows and their length in bytes.  Entry g of table k holds the
-    packed rows -- row v at bit stride*v, stride 8, 16 or 32 -- of the pairs
-    pairs[width*k + i] for the set bits i of g.  Raises ValueError if n is
-    out of range or a pair is not an edge of Kn."""
+@functools.cache
+def _row_tables(n: int, width: int) -> tuple:
+    """The row tables of upper_pairs(n) on n <= 32 vertices, the struct
+    unpack of the packed rows and their length in bytes, built once per
+    (n, width).  Entry g of table k holds the packed rows -- row v at bit
+    stride*v, stride 8, 16 or 32 -- of the pairs upper_pairs(n)[width*k + i]
+    for the set bits i of g.  Raises ValueError if n is out of range."""
     if not 0 <= n <= _TABLE_MAX_N:
         raise ValueError(f"row tables support 0 <= n <= {_TABLE_MAX_N}, got n={n}")
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise ValueError(f"pair ({u},{v}) is not an edge of K{n}")
     stride, row = (8, "B") if n <= 8 else (16, "H") if n <= 16 else (32, "I")
-    edges = [1 << (stride * u + v) | 1 << (stride * v + u) for u, v in pairs]
+    edges = [1 << (stride * u + v) | 1 << (stride * v + u) for u, v in upper_pairs(n)]
     tables = []
     for k in range(0, len(edges), width):
         table = [0]
@@ -291,12 +289,6 @@ def _row_tables(n: int, pairs: Sequence[tuple[int, int]], width: int) -> tuple:
             table += [t | edge for t in table]
         tables.append(tuple(table))
     return tuple(tables), struct.Struct(f"<{n}{row}").unpack, n * stride // 8
-
-
-@functools.cache
-def _graph6_tables(n: int) -> tuple:
-    """The graph6 parser's row tables of upper_pairs(n), six pairs a table."""
-    return _row_tables(n, upper_pairs(n), 6)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -338,7 +330,7 @@ def parse_graph6(text: str) -> Graph:
     if (data[end - 1] - 63) & ((1 << pad) - 1):
         raise GraphFormatError(f"nonzero padding bit at offset {end - 1}")
     if n <= _TABLE_MAX_N:
-        tables, unpack, size = _graph6_tables(n)
+        tables, unpack, size = _row_tables(n, 6)
         packed = 0
         for table, g in zip(tables, data[pos:end].translate(_FIRST_PAIR_LOW)):
             packed |= table[g]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import chibound
-from chibound import corpus
+from chibound import corpus, graphs
 from chibound.constructions import cycle, extremal_omega5, wheel6
 from chibound.corpus import (VALID_CHECKS, CorpusReport, Population, enumerate_class,
                              exhaustive_population, explicit_population,
@@ -76,66 +76,48 @@ class TestGraphFromEdgeMask:
                 assert graph_from_edge_mask(n, mask, pairs) == \
                     graph_from_pair_mask(n, mask, pairs), (n, mask)
 
-    def test_seeded_n7_masks_with_permuted_pairs(self):
+    def test_seeded_n7_masks_with_equal_lists_and_tuples(self):
         rng = random.Random(7)
         masks = [rng.getrandbits(21) for _ in range(2000)] + [0, (1 << 21) - 1]
         pairs = pair_list(7)
-        copy = pair_list(7)
-        permuted = pairs[:]
-        rng.shuffle(permuted)
-        # Interleaved, so tables kept for one list are asked for another.
+        # Interleaved, so tables kept for one sequence are asked for another.
         for mask in masks:
-            for ps in (pairs, permuted, copy):
+            for ps in (pairs, pair_list(7), tuple(pairs), upper_pairs(7)):
                 assert graph_from_edge_mask(7, mask, ps) == \
                     graph_from_pair_mask(7, mask, ps), (mask, ps)
-        # An in-place edit of the list just used changes its graphs.
-        graph_from_edge_mask(7, 0, pairs)
-        rng.shuffle(pairs)
-        for mask in masks:
-            assert graph_from_edge_mask(7, mask, pairs) == \
-                graph_from_pair_mask(7, mask, pairs), mask
 
-    def test_same_pairs_other_n(self):
-        pairs = pair_list(4)
-        for n in (4, 6, 4, 8):
-            for mask in range(1 << len(pairs)):
-                assert graph_from_edge_mask(n, mask, pairs) == \
-                    graph_from_pair_mask(n, mask, pairs), (n, mask)
-        pairs = pair_list(5)
-        graph_from_edge_mask(5, 0, pairs)
-        with pytest.raises(ValueError, match="not an edge of K4"):
-            graph_from_edge_mask(4, 0, pairs)
-
-    def test_tables_built_once_per_contents(self, monkeypatch):
-        built = []
-        real = corpus._row_tables
-        monkeypatch.setattr(corpus, "_row_tables",
-                            lambda n, pairs, width: built.append(n) or real(n, pairs, width))
-        graph_from_edge_mask(4, 0, pair_list(4))
-        # Enumeration passes the cached upper_pairs(5), which the memo keeps
-        # as its own copy, so it is matched by identity on every graph.
-        for _ in range(2):
-            assert sum(1 for _ in iter_all_graphs(5)) == 1024
-        assert corpus._edge_memo[1] is upper_pairs(5)
-        graph_from_edge_mask(5, 7, tuple(pair_list(5)))  # equal, a fresh tuple
-        assert built == [4, 5]
-        # A list never equals a tuple, so the first list builds them again;
-        # an equal fresh list keeps them, and an in-place edit rebuilds them.
-        pairs = pair_list(5)
-        graph_from_edge_mask(5, 7, pairs)
-        graph_from_edge_mask(5, 7, pair_list(5))
-        assert built == [4, 5, 5]
+    def test_list_edited_after_a_call_rejected(self):
+        pairs = pair_list(7)
+        graph_from_edge_mask(7, 5, pairs)
         random.Random(1).shuffle(pairs)
-        assert pairs != pair_list(5)
-        assert graph_from_edge_mask(5, 7, pairs) == graph_from_pair_mask(5, 7, pairs)
-        assert built == [4, 5, 5, 5]
+        assert pairs != pair_list(7)
+        with pytest.raises(ValueError, match=r"upper_pairs\(7\)"):
+            graph_from_edge_mask(7, 5, pairs)
+
+    def test_tables_built_once_per_vertex_count(self, monkeypatch):
+        # Each build of the row tables reads graphs.upper_pairs once; the
+        # enumerator's (n, 8) tables and the parser's (n, 6) are built once
+        # each, however the equal pairs are passed.
+        built = []
+        real = graphs.upper_pairs
+        monkeypatch.setattr(graphs, "upper_pairs", lambda n: built.append(n) or real(n))
+        monkeypatch.setattr(corpus, "_edge_memo", (None, (), None))
+        graphs._row_tables.cache_clear()
+        for n in (4, 5, 4, 5):
+            assert sum(1 for _ in iter_all_graphs(n)) == 1 << n * (n - 1) // 2
+            graph_from_edge_mask(n, 7, pair_list(n))
+            graph_from_edge_mask(n, 7, tuple(pair_list(n)))
+            assert parse_graph6(graph6_of_mask(n, 7)) == graph_from_edge_mask(n, 7, upper_pairs(n))
+        assert built == [4, 4, 5, 5]
+        assert graphs._row_tables.cache_info().currsize == 4
 
     @pytest.mark.parametrize("n, mask, pairs, message", [
         (3, 8, pair_list(3), "outside"),
         (3, -1, pair_list(3), "outside"),
-        (3, 1, [(0, 3)], "not an edge of K3"),
-        (3, 1, [(1, 1)], "not an edge of K3"),
+        (7, 0, random.Random(7).sample(pair_list(7), 21), r"upper_pairs\(7\)"),
+        (6, 0, pair_list(4), r"upper_pairs\(6\)"),
         (33, 0, pair_list(33), "0 <= n <= 32, got n=33"),
+        (5, 0, pair_list(5)[:-1], r"upper_pairs\(5\)"),
     ])
     def test_bad_input_rejected(self, n, mask, pairs, message):
         with pytest.raises(ValueError, match=message):

@@ -201,11 +201,11 @@ class TestGraph6:
             assert parse_graph6(line) == parse_graph6_bitwise(line) == g
 
     def test_tables_built_once_per_vertex_count(self, monkeypatch):
+        # Each build of the row tables reads upper_pairs once.
         built = []
-        real = graphs._row_tables
-        monkeypatch.setattr(graphs, "_row_tables",
-                            lambda n, pairs, width: built.append(n) or real(n, pairs, width))
-        graphs._graph6_tables.cache_clear()
+        real = graphs.upper_pairs
+        monkeypatch.setattr(graphs, "upper_pairs", lambda n: built.append(n) or real(n))
+        graphs._row_tables.cache_clear()
         rng = random.Random(9)
         for n in (20, 9, 20, 33, 9, 64, 32, 20) * 3:
             g = random_graph(n, rng.random(), rng)

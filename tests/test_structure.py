@@ -6,10 +6,12 @@ import pytest
 
 from chibound.constructions import (OMEGA5_VERTEX_NAMES, cycle, extremal_omega5,
                                     extremal_witnesses)
-from chibound.corpus import iter_all_graphs
-from chibound.graphs import (bits, complete_graph, empty_graph, from_edges,
-                             join, mask_of, parse_graph6)
-from chibound.patterns import is_class_member
+from chibound.corpus import explicit_population, iter_all_graphs, run_verification
+from chibound.graphs import (bits, complement, complete_graph, empty_graph,
+                             from_edges, join, mask_of, parse_graph6)
+from chibound.invariants import (bound_f, chi_via_matching, chromatic_exact,
+                                 clique_number)
+from chibound.patterns import complement_oracle_check, is_class_member
 from chibound.structure import (FAILS, HOLDS, PROPERTY_NAMES, VACUOUS,
                                 Decomposition, DecompositionError,
                                 NotInClassError, all_partitioning_pairs,
@@ -211,9 +213,10 @@ class TestLemma1:
         assert json.dumps(report) == json.dumps(
             {"properties": properties, "missmap_injective": injective})
 
-    # 1.6 holds on no decomposition the other tests reach (it needs
-    # |M1| >= |M2| >= 4 and uniform cross adjacency), so these are built by
-    # hand: v = 0, w = 1, M1 = {2..5}, M2 = {6..9}, M3 = {10, 11}, M4 = {12, 13}.
+    # 1.6 needs |M1| >= |M2| >= 4.  The class member F_6 (TestFamilyF6)
+    # reaches it with every M3-M4 pair present; these decompositions, built
+    # by hand, add the case with none present and a failure: v = 0, w = 1,
+    # M1 = {2..5}, M2 = {6..9}, M3 = {10, 11}, M4 = {12, 13}.
     @pytest.mark.parametrize("cross, verdict", [
         ([], {"status": "holds"}),
         ([(10, 12), (10, 13), (11, 12), (11, 13)], {"status": "holds"}),
@@ -261,6 +264,45 @@ class TestLemma1:
                             assert sum(parts) == g.full_mask  # disjoint cover
 
 
+# F_6, ROADMAP item 3's family at m = 6: the complement of K_{6,6} on
+# a_i = i and b_i = 6 + i, with a_i b_i subdivided by x_i = 12 + i for i < 5.
+F6 = "P~~{ACbCwV_^^^nnzz~^^||{"
+F6_PAIRS = [(12, 0), (12, 6), (13, 1), (13, 7), (14, 2), (14, 8),
+            (15, 3), (15, 9), (16, 4), (16, 10)]
+
+
+class TestFamilyF6:
+    """A class member on which property 1.6 holds at every partitioning pair."""
+
+    def test_graph(self):
+        g = parse_graph6(F6)
+        h = [(a, 6 + b) for a in range(6) for b in range(6) if a != b or a == 5]
+        h += [(12 + i, i) for i in range(5)] + [(12 + i, 6 + i) for i in range(5)]
+        assert g == complement(from_edges(17, h))
+        assert is_class_member(g) and complement_oracle_check(g)
+        assert clique_number(g) == 6
+        assert chi_via_matching(g)[0] == chromatic_exact(g)[0] == bound_f(6) == 9
+        assert all_partitioning_pairs(g) == F6_PAIRS
+
+    @pytest.mark.parametrize("v, w", F6_PAIRS)
+    def test_lemma1_at_every_pair(self, v, w):
+        g = parse_graph6(F6)
+        d = decompose(g, v, w)
+        report = check_lemma1(g, d)
+        assert {name: x["status"] for name, x in report["properties"].items()} == {
+            "1.1": HOLDS, "1.2": HOLDS, "1.3": HOLDS, "1.4": HOLDS,
+            "1.5": HOLDS, "1.6": HOLDS, "1.7": VACUOUS}
+        assert json.dumps(report) == json.dumps(check_lemma1_pairwise(g, d))
+
+    def test_campaign_tallies(self):
+        report = run_verification(explicit_population([parse_graph6(F6)]),
+                                  ("bound", "lemma1", "lemma2", "oracle")).to_json_dict()
+        assert report["lemma1"]["pairs_checked"] == 10
+        assert report["lemma1"]["properties"]["1.6"] == {HOLDS: 10, VACUOUS: 0, FAILS: 0}
+        assert report["oracle"] == {"checked": 1, "disagreements": 0}
+        assert report["violations"] == []
+
+
 def same_as_references(g, v, w) -> tuple[dict, Decomposition]:
     """decompose and check_lemma1 at (v, w) against their references; the
     report JSON must match byte for byte, key order included."""
@@ -295,7 +337,11 @@ class TestLemma1AgainstReference:
         assert pairs > 8000
         for name in ("1.1", "1.2", "1.3", "1.4", "1.5", "1.7"):
             assert (name, FAILS) in seen
-        assert {(name, HOLDS) for name in PROPERTY_NAMES if name != "1.6"} <= seen
+        f6 = parse_graph6(F6)  # the first member on which 1.6 holds
+        for v, w in F6_PAIRS:
+            report, _ = same_as_references(f6, v, w)
+            seen.update((name, x["status"]) for name, x in report["properties"].items())
+        assert {(name, HOLDS) for name in PROPERTY_NAMES} <= seen
         assert ("|Y|", 3) in seen
 
     def test_extremal_witnesses(self):
